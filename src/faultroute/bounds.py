@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, WitnessError
 from .model import NetworkParams, validate_mode_probs
-from .stability import Z_FLOOR, ThetaWitness, _golden_min, sufficient_search, sufficient_value
+from .stability import Z_FLOOR, ThetaWitness, _drift_value, sufficient_search, sufficient_value, zoom_min
 
 PROB_TOL = 1e-12
 
@@ -239,24 +239,27 @@ def g_monotonicity_check(gp: GPolynomial, grid: int = 10_000) -> GMonotonicityRe
 
 
 def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_lo: float, z_hi: float, n: int = 400):
-    """Minimize the averaged drift along a one-parameter (y(z), z) family."""
+    """Minimize the averaged drift along a one-parameter (y(z), z) family.
+
+    Every candidate is evaluated on the scalar path: the ``n`` log-spaced
+    values of ``z`` first, then ``zoom_min`` refines the best one in
+    ``t = -log z``.  The returned value is ``sufficient_value`` there.
+    """
     z_lo = max(z_lo, Z_FLOOR)
     z_hi = max(min(z_hi, 1.0), z_lo)
-    zs = np.logspace(math.log10(z_lo), math.log10(z_hi), n)
 
-    def value(z: float) -> float:
-        y = min(max(y_of_z(z), Z_FLOOR), 1.0)
-        return sufficient_value(params, p, (-math.log(y), -math.log(z)))
+    def theta(t: float) -> tuple[float, float]:
+        y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
+        return -math.log(y), t
 
-    vals = [value(float(z)) for z in zs]
-    i = int(np.argmin(vals))
-    lo = float(zs[max(i - 1, 0)])
-    hi = float(zs[min(i + 1, n - 1)])
-    z_best, v_best = _golden_min(value, lo, hi, 50)
-    if vals[i] < v_best:
-        z_best, v_best = float(zs[i]), vals[i]
-    y_best = min(max(y_of_z(z_best), Z_FLOOR), 1.0)
-    return (-math.log(y_best), -math.log(z_best)), v_best
+    def values(ts: np.ndarray) -> np.ndarray:
+        return np.array([_drift_value(params, p, theta(float(t))) for t in ts])
+
+    ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
+    t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
+    best = float(ts[int(np.argmin(values(ts)))])
+    t = float(zoom_min(values, [best], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0])
+    return theta(t), sufficient_value(params, p, theta(t))
 
 
 def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> ThetaWitness:

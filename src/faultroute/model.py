@@ -113,6 +113,68 @@ def vector_field(params: NetworkParams, s: int, x: tuple[float, float]) -> tuple
     )
 
 
+@dataclass(frozen=True)
+class DriftField:
+    """Demand-independent part of the per-mode drifts at a set of densities.
+
+    ``shares[s]`` holds both links' routing shares ``(mu1, mu2)`` in mode
+    ``s + 1`` for modes 1-3; mode 4 splits evenly, so its worst link is the
+    one with the smaller outflow ``fmin``.  All arrays broadcast against each
+    other, so one field serves every demand.
+    """
+
+    shares: tuple
+    f1: np.ndarray
+    f2: np.ndarray
+    fmin: np.ndarray
+
+    def link_drift(self, eta: float) -> list:
+        """Per-mode ``(eta * mu_1 - f_1, eta * mu_2 - f_2)``, modes 1-4."""
+        out = [(eta * mu1 - self.f1, eta * mu2 - self.f2) for mu1, mu2 in self.shares]
+        out.append((0.5 * eta - self.f1, 0.5 * eta - self.f2))
+        return out
+
+    def mode_drift(self, eta: float) -> list:
+        """Per-mode worst-link drift ``max_k(eta * mu_k - f_k)``, modes 1-4."""
+        return [self._worst(eta, s) for s in range(4)]
+
+    def averaged(self, eta: float, p) -> np.ndarray:
+        """Worst-link drift averaged over the mode distribution ``p``."""
+        total = self._worst(eta, 0)
+        total *= p[0]
+        buf = np.empty_like(total)
+        for s in (1, 2, 3):
+            total += np.multiply(self._worst(eta, s, buf), p[s], out=buf)
+        return total
+
+    def _worst(self, eta: float, s: int, out=None) -> np.ndarray:
+        """Worst-link drift of mode ``s + 1``, written to ``out`` if given."""
+        if s == 3:
+            return np.subtract(0.5 * eta, self.fmin, out=out)
+        mu1, mu2 = self.shares[s]
+        worst = np.subtract(eta * mu1, self.f1, out=out)
+        return np.maximum(worst, eta * mu2 - self.f2, out=out)
+
+
+def drift_field(params: NetworkParams, x1, x2) -> DriftField:
+    """Routing shares and outflows at densities ``(x1, x2)``, which broadcast.
+
+    Routing is computed from the observation gap, ``mu1 = 1 / (1 + e^gap)``
+    with ``gap = beta * (o1 - o2)``, through ``logaddexp``, so it neither
+    overflows nor underflows to an even split at large ``beta * x``.  The
+    demand in ``params`` is not used.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    f1 = params.F1 * -np.expm1(-x1)
+    f2 = params.F2 * -np.expm1(-x2)
+    shares = []
+    for gap in (x1 - x2, -x2, x1):  # observed o1 - o2 in modes 1, 2, 3
+        mu1 = np.exp(-np.logaddexp(0.0, params.beta * gap))
+        shares.append((mu1, 1.0 - mu1))
+    return DriftField(tuple(shares), f1, f2, np.minimum(f1, f2))
+
+
 def validate_rate_matrix(rates, require_irreducible: bool = True) -> np.ndarray:
     """Check a 4x4 switching-rate matrix and return it as a float array.
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CertificateError, ErgodicityError, MonotonicityError, NumericsError, ParameterError
 from .model import (
     NetworkParams,
+    drift_field,
     flow,
     generator_matrix,
     routing_fraction,
@@ -37,8 +38,8 @@ FLOOR_X_TOL = 1e-12
 STRICT_DRIFT = 1e-9  # a witness must beat this margin, not just 0
 Z_FLOOR = 1e-9
 GRID_N = 200
-GOLDEN_SWEEPS = 3
-GOLDEN_ITERS = 50
+ZOOM_N = 17  # points per axis of each refinement grid
+ZOOM_LEVELS = 5  # refinement grids, each (ZOOM_N - 1) / 2 times finer than the last
 BISECT_TOL = 1e-4
 
 _INEQUALITY_NAMES = ("necessary1", "necessary2", "necessary3")
@@ -60,7 +61,7 @@ class NecessaryReport:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaWitness:
     """Threshold pair certifying negative averaged drift."""
 
@@ -156,6 +157,8 @@ def solve_congestion_floor(params: NetworkParams, k: int) -> float:
     lo = 0.0
     while hi - lo > FLOOR_X_TOL:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats further apart than the tolerance (floors past ~8e3)
+            break
         if gap(mid) > 0.0:
             lo = mid
         else:
@@ -175,7 +178,10 @@ def necessary_condition(params: NetworkParams, probs) -> NecessaryReport:
     infinite floor enters in limit form (``e^{-beta * inf} = 0``).  The third
     is plain ``eta < 1``.
     """
-    p = validate_mode_probs(probs)
+    return _necessary(params, validate_mode_probs(probs))
+
+
+def _necessary(params: NetworkParams, p: np.ndarray) -> NecessaryReport:
     eta = params.eta
     x1, x2 = congestion_floors(params)
     e1 = math.exp(-params.beta * x1) if math.isfinite(x1) else 0.0
@@ -192,9 +198,13 @@ def sufficient_value(params: NetworkParams, probs, theta: tuple[float, float]) -
 
     For each mode the drift of the faster-growing link is taken, using the
     routing seen through that mode's sensor faults; the average over the
-    stationary mode distribution being negative certifies stability.
+    stationary mode distribution being negative certifies stability.  This
+    scalar evaluation is the reference: every witness is checked with it.
     """
-    p = validate_mode_probs(probs)
+    return _drift_value(params, validate_mode_probs(probs), theta)
+
+
+def _drift_value(params: NetworkParams, p: np.ndarray, theta: tuple[float, float]) -> float:
     t1, t2 = theta
     if t1 < 0.0 or t2 < 0.0:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
@@ -205,48 +215,54 @@ def sufficient_value(params: NetworkParams, probs, theta: tuple[float, float]) -
     for s, ps in zip((1, 2, 3, 4), p):
         mu1, mu2 = routing_fraction(params, s, (t1, t2))
         total += ps * max(eta * mu1 - f1, eta * mu2 - f2)
-    return total
+    return float(total)
 
 
-def _drift_on_grid(params: NetworkParams, p: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Vectorized drift over the outer grid of ``z = exp(-theta)`` values."""
-    eta, beta = params.eta, params.beta
-    w1 = np.maximum(z1**beta, 1e-300)[:, None]
-    w2 = np.maximum(z2**beta, 1e-300)[None, :]
-    f1 = (params.F1 * (1.0 - z1))[:, None]
-    f2 = (params.F2 * (1.0 - z2))[None, :]
+def zoom_min(values, center, step: float, lo: float, hi: float) -> np.ndarray:
+    """Refine a grid minimum of ``values`` around the point ``center``.
 
-    mu1_s1 = w1 / (w1 + w2)
-    mu1_s2 = 1.0 / (1.0 + w2)
-    mu1_s3 = w1 / (w1 + 1.0)
-
-    def term(mu1):
-        return np.maximum(eta * mu1 - f1, eta * (1.0 - mu1) - f2)
-
-    return (
-        p[0] * term(mu1_s1)
-        + p[1] * term(mu1_s2)
-        + p[2] * term(mu1_s3)
-        + p[3] * term(np.full((1, 1), 0.5))
-    )
+    Each of ``ZOOM_LEVELS`` levels lays ``ZOOM_N`` points per coordinate over
+    ``center +- step``, clipped to ``[lo, hi]``, moves ``center`` to the best
+    point of that grid and shrinks ``step`` to the grid's spacing.
+    ``values`` takes one open-mesh array per coordinate.
+    """
+    center = np.asarray(center, dtype=float)
+    for _ in range(ZOOM_LEVELS):
+        axes = [np.clip(np.linspace(c - step, c + step, ZOOM_N), lo, hi) for c in center]
+        v = values(*np.ix_(*axes))
+        best = np.unravel_index(int(np.argmin(v)), v.shape)
+        center = np.array([axis[k] for axis, k in zip(axes, best)])
+        step *= 2.0 / (ZOOM_N - 1)
+    return center
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc < fd else (d, fd)
+def _searcher(params: NetworkParams, n_grid: int = GRID_N, z_floor: float = Z_FLOOR, refine: bool = True):
+    """Witness search for ``params``'s capacities and ``beta`` at any demand.
+
+    The coarse drift field does not depend on the demand, so it is built
+    once here and shared by every call of the returned ``search(params, p)``
+    (``p`` already validated).
+    """
+    thetas = -np.log(np.logspace(math.log10(z_floor), 0.0, n_grid))
+    coarse = drift_field(params, thetas[:, None], thetas[None, :])
+    step = thetas[0] / max(n_grid - 1, 1)  # the grid is uniform in theta
+
+    def search(params: NetworkParams, p: np.ndarray) -> ThetaWitness | None:
+        eta = params.eta
+        values = coarse.averaged(eta, p)
+        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+        theta = (thetas[i], thetas[j])
+        if refine:
+            theta = zoom_min(
+                lambda t1, t2: drift_field(params, t1, t2).averaged(eta, p), theta, step, 0.0, thetas[0]
+            )
+        theta = (float(theta[0]), float(theta[1]))
+        drift = _drift_value(params, p, theta)
+        if drift < -STRICT_DRIFT:
+            return ThetaWitness(theta, drift)
+        return None
+
+    return search
 
 
 def sufficient_search(
@@ -258,46 +274,17 @@ def sufficient_search(
 ) -> ThetaWitness | None:
     """Search for a threshold pair with strictly negative averaged drift.
 
-    Works in ``z = exp(-theta)`` coordinates on a log-uniform grid over
-    ``(0, 1]^2``, then polishes the best cell with coordinate-wise
-    golden-section descent.  Deterministic; returns ``None`` when no
-    candidate beats the strictness margin (a valid outcome, not an error).
+    Evaluates the drift field on the ``n_grid`` x ``n_grid`` grid
+    ``theta = -log(logspace(log10(z_floor), 0, n_grid))`` per coordinate,
+    uniform in ``theta`` over ``[0, -log(z_floor)]``.  With ``refine`` the
+    best grid point is polished by ``ZOOM_LEVELS`` finer ``ZOOM_N`` x
+    ``ZOOM_N`` grids, each spanning one spacing of the last around its best
+    point.  The chosen ``theta`` is then re-evaluated with the scalar
+    ``sufficient_value``, and the witness carries that value; a point that
+    does not beat ``-STRICT_DRIFT`` there is never returned.  Deterministic;
+    ``None`` (no witness) is a valid outcome, not an error.
     """
-    p = validate_mode_probs(probs)
-    zs = np.logspace(math.log10(z_floor), 0.0, n_grid)
-    values = _drift_on_grid(params, p, zs, zs)
-    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-    best = (float(values[i, j]), float(zs[i]), float(zs[j]))
-
-    if refine:
-        z1, z2 = best[1], best[2]
-
-        def bracket(idx: int) -> tuple[float, float]:
-            lo = zs[idx - 1] if idx > 0 else z_floor
-            hi = zs[idx + 1] if idx + 1 < n_grid else 1.0
-            return lo, hi
-
-        lo1, hi1 = bracket(i)
-        lo2, hi2 = bracket(j)
-        value = best[0]
-        for _ in range(GOLDEN_SWEEPS):
-            z1, value = _golden_min(
-                lambda z: _scalar_drift(params, p, z, z2), lo1, hi1, GOLDEN_ITERS
-            )
-            z2, value = _golden_min(
-                lambda z: _scalar_drift(params, p, z1, z), lo2, hi2, GOLDEN_ITERS
-            )
-        if value < best[0]:
-            best = (value, z1, z2)
-
-    drift, z1, z2 = best
-    if drift < -STRICT_DRIFT:
-        return ThetaWitness((-math.log(z1), -math.log(z2)), drift)
-    return None
-
-
-def _scalar_drift(params: NetworkParams, p: np.ndarray, z1: float, z2: float) -> float:
-    return sufficient_value(params, p, (-math.log(z1), -math.log(z2)))
+    return _searcher(params, n_grid, z_floor, refine)(params, validate_mode_probs(probs))
 
 
 def stability_verdict(params: NetworkParams, probs, **search_kwargs) -> StabilityVerdict:
@@ -361,49 +348,52 @@ def throughput_bounds(
 
     ``lower`` is the largest demand at which the sufficient search certifies
     stability, ``upper`` the smallest at which the necessary test fails; the
-    demand stored in ``params`` is ignored.  Both predicates are monotone in
-    the demand; violations raise rather than returning garbage bounds.
+    demand stored in ``params`` is ignored.  The necessary predicate is
+    monotone in the demand.  The exact sufficient predicate is too, because
+    the drift at a fixed ``theta`` is nondecreasing in the demand, but the
+    search only approximates the minimum over ``theta``: a non-monotone
+    pattern on the coarse demand grid raises, and inside the last bracket the
+    search is trusted.  ``lower_witness`` is the witness found at ``lower``
+    itself; it also certifies every smaller demand.
     """
     p = validate_mode_probs(probs)
+    search = _searcher(params, **search_kwargs)
+    witnesses: dict[float, ThetaWitness] = {}
 
     def stable_at(eta: float) -> bool:
-        return sufficient_search(replace(params, eta=eta), p, **search_kwargs) is not None
+        w = search(replace(params, eta=eta), p)
+        if w is not None:
+            witnesses[eta] = w
+        return w is not None
 
-    def necessary_fails_at(eta: float) -> bool:
-        return not necessary_condition(replace(params, eta=eta), p).holds
+    def necessary_holds_at(eta: float) -> bool:
+        return _necessary(replace(params, eta=eta), p).holds
 
     lower, _ = _bisect_predicate(stable_at, pre_grid, tol, "sufficient")
-    _, upper = _bisect_predicate(lambda e: not necessary_fails_at(e), pre_grid, tol, "necessary")
+    _, upper = _bisect_predicate(necessary_holds_at, pre_grid, tol, "necessary")
 
-    witness = None
-    if lower > 0.0:
-        witness = sufficient_search(replace(params, eta=max(0.0, lower - tol)), p, **search_kwargs)
-    violation = necessary_condition(replace(params, eta=min(1.0, upper + tol)), p).first_violated()
+    violation = _necessary(replace(params, eta=min(1.0, upper + tol)), p).first_violated()
     if violation is None:
-        violation = necessary_condition(replace(params, eta=1.0), p).first_violated()
+        violation = _necessary(replace(params, eta=1.0), p).first_violated()
     if lower > upper:
         raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
-    return ThroughputBounds(lower, upper, witness, violation)
+    return ThroughputBounds(lower, upper, witnesses.get(lower), violation)
 
 
 def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL, pre_grid: int = 11) -> float:
     """Smallest demand at which the necessary test fails (demand in ``params`` ignored)."""
     p = validate_mode_probs(probs)
     _, upper = _bisect_predicate(
-        lambda e: necessary_condition(replace(params, eta=e), p).holds, pre_grid, tol, "necessary"
+        lambda e: _necessary(replace(params, eta=e), p).holds, pre_grid, tol, "necessary"
     )
     return upper
 
 
 def mode_drift_maxima(params: NetworkParams, theta: tuple[float, float]) -> np.ndarray:
     """Per-mode worst-link drift at ``theta`` (the summands of the averaged drift)."""
-    f1 = flow(params, 1, theta[0])
-    f2 = flow(params, 2, theta[1])
-    out = np.empty(4)
-    for s in (1, 2, 3, 4):
-        mu1, mu2 = routing_fraction(params, s, theta)
-        out[s - 1] = max(params.eta * mu1 - f1, params.eta * mu2 - f2)
-    return out
+    if theta[0] < 0.0 or theta[1] < 0.0:
+        raise ParameterError(f"theta must be nonnegative, got {theta}")
+    return np.array(drift_field(params, theta[0], theta[1]).mode_drift(params.eta))
 
 
 def _excess_rates(params: NetworkParams, s: int, x: tuple[float, float], theta: tuple[float, float]):
@@ -480,17 +470,24 @@ def lyapunov_certificate(
     span = max(5.0, th[0], th[1]) + 5.0
     xs = np.linspace(0.0, span, grid_n)
     xs = np.unique(np.concatenate([xs, [th[0], th[1], th[0] + 1e-9, th[1] + 1e-9]]))
+    x1, x2 = xs[:, None], xs[None, :]
+    w = np.maximum(x1 - th[0], 0.0) + np.maximum(x2 - th[1], 0.0)
     offset_term = 0.0
     remainder = 0.0
-    for s in (1, 2, 3, 4):
-        for x1 in xs:
-            for x2 in xs:
-                d1, d2 = _excess_rates(params, s, (x1, x2), th)
-                offset_term = max(offset_term, a[s - 1] * (d1 + d2))
-                lv = generator_value(params, rmat, a, th, s, (x1, x2))
-                remainder = max(remainder, lv + c * (x1 + x2))
+    links = drift_field(params, x1, x2).link_drift(params.eta)
+    for i, (g1, g2) in enumerate(links):
+        d12 = _excess(g1, x1, th[0]) + _excess(g2, x2, th[1])
+        jump = sum(rmat[i][j] * (a[j] - a[i]) for j in range(4) if j != i)
+        offset_term = max(offset_term, float(np.max(a[i] * d12)))
+        lv = (d12 + jump) * w + a[i] * d12
+        remainder = max(remainder, float(np.max(lv + c * (x1 + x2))))
     d = max(margin * offset_term + c * (th[0] + th[1]), margin * remainder)
     return LyapunovCertificate(a, drift_max, c, d, th, residual)
+
+
+def _excess(g: np.ndarray, x: np.ndarray, theta: float) -> np.ndarray:
+    """Array form of ``_excess_rates`` for one link."""
+    return np.where(x > theta, g, np.where(x == theta, np.maximum(g, 0.0), 0.0))
 
 
 def invariant_set_check(

@@ -13,12 +13,15 @@ from faultroute import (
     ErgodicityError,
     fault_map,
     flow,
+    mode_drift_maxima,
     routing_fraction,
     stationary_distribution,
+    sufficient_value,
     validate_mode_probs,
     validate_rate_matrix,
     vector_field,
 )
+from faultroute.model import drift_field
 
 HALF = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.8)
 
@@ -275,3 +278,61 @@ class TestModeProbs:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             validate_mode_probs([-0.1, 0.4, 0.4, 0.3])
+
+
+# routing sensitivities log-uniform over (0, 500], capacities including both ends
+betas = st.floats(min_value=math.log(1e-3), max_value=math.log(500.0)).map(math.exp)
+capacities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+thresholds = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+
+def dirichlet(seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(4))
+
+
+class TestDriftField:
+    """The broadcasting kernel against the scalar routing and flow."""
+
+    @staticmethod
+    def scalar_mode_drift(params, x):
+        out = []
+        for s in (1, 2, 3, 4):
+            mu1, mu2 = routing_fraction(params, s, x)
+            out.append(max(params.eta * mu1 - flow(params, 1, x[0]), params.eta * mu2 - flow(params, 2, x[1])))
+        return out
+
+    @given(
+        t1=thresholds,
+        t2=thresholds,
+        F1=capacities,
+        beta=betas,
+        eta=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300)
+    def test_matches_scalar_reference(self, t1, t2, F1, beta, eta, seed):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = dirichlet(seed)
+        field = drift_field(params, t1, t2)
+        scalar = self.scalar_mode_drift(params, (t1, t2))
+        assert np.allclose(field.mode_drift(eta), scalar, rtol=0.0, atol=1e-12)
+        assert np.allclose(mode_drift_maxima(params, (t1, t2)), scalar, rtol=0.0, atol=1e-12)
+        assert abs(field.averaged(eta, p) - sufficient_value(params, p, (t1, t2))) <= 1e-12
+        for (g1, g2), s in zip(field.link_drift(eta), (1, 2, 3, 4)):
+            assert np.allclose((g1, g2), vector_field(params, s, (t1, t2)), rtol=0.0, atol=1e-12)
+
+    def test_broadcasts_over_a_grid(self):
+        params = NetworkParams(F1=0.7, F2=0.3, beta=300.0, eta=0.6)
+        p = np.array([0.4, 0.3, 0.2, 0.1])
+        ts = np.linspace(0.0, 30.0, 7)
+        grid = drift_field(params, ts[:, None], ts[None, :]).averaged(params.eta, p)
+        assert grid.shape == (7, 7)
+        for i, a in enumerate(ts):
+            for j, b in enumerate(ts):
+                assert abs(grid[i, j] - sufficient_value(params, p, (a, b))) <= 1e-12
+
+    def test_no_even_split_at_steep_routing(self):
+        # beta * theta far beyond exp's range: the share is 0 or 1, never 0.5
+        params = NetworkParams(F1=0.5, F2=0.5, beta=500.0, eta=0.5)
+        mu1, mu2 = drift_field(params, 20.0, 5.0).shares[0]
+        assert mu1 == 0.0 and mu2 == 1.0

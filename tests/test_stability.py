@@ -27,11 +27,19 @@ from faultroute import (
     sufficient_search,
     sufficient_value,
     throughput_bounds,
+    validate_mode_probs,
     vector_field,
 )
-from faultroute.stability import _bisect_predicate
+from faultroute.stability import STRICT_DRIFT, _bisect_predicate, _excess_rates
 
 UNIFORM = np.full(4, 0.25)
+
+# the z-grid search this replaced certified this network falsely: z**beta underflowed
+REPRO_PARAMS = NetworkParams(0.63309, 0.36691, 63.59997, 0.68859)
+REPRO_PROBS = np.array([0.696, 0.129, 0.011, 0.164])
+
+betas = st.floats(min_value=math.log(1e-3), max_value=math.log(500.0)).map(math.exp)
+capacities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
 
 def params_for(eta, F1=0.5, beta=1.0):
@@ -72,6 +80,13 @@ class TestCongestionFloor:
         # the inflow side decays on scale 1/beta, far beyond the default cap
         params = params_for(0.9, beta=1e-3)
         x = solve_congestion_floor(params, 1)
+        assert abs(floor_residual(params, 1, x)) < 1e-10
+
+    def test_far_floor_terminates(self):
+        # the root sits near x = 1.4e4, where adjacent floats are 1.8e-12 apart
+        params = NetworkParams(F1=1e-6, F2=1.0 - 1e-6, beta=1e-3, eta=0.9)
+        x = solve_congestion_floor(params, 1)
+        assert 1e4 < x < 2e4
         assert abs(floor_residual(params, 1, x)) < 1e-10
 
     @given(
@@ -357,3 +372,126 @@ class TestVerdict:
             if v.classification == "certified-unstable":
                 assert not v.necessary.holds
             assert not (v.classification == "certified-stable" and not v.necessary.holds)
+
+
+def dirichlet(seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(4))
+
+
+def assert_verified(params, probs, witness):
+    """A witness must re-evaluate below the strictness margin in the scalar reference."""
+    value = sufficient_value(params, probs, witness.theta)
+    assert value < -STRICT_DRIFT, (witness, value)
+    assert value == witness.drift
+
+
+class TestWitnessesVerify:
+    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_search_and_verdict_witnesses(self, F1, beta, eta, seed):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = dirichlet(seed)
+        w = sufficient_search(params, p)
+        if w is not None:
+            assert_verified(params, p, w)
+        v = stability_verdict(params, p)
+        if v.witness is not None:
+            assert_verified(params, p, v.witness)
+
+    @given(F1=capacities, beta=betas, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_bounds_witness_at_lower(self, F1, beta, seed):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
+        p = dirichlet(seed)
+        tb = throughput_bounds(params, p)
+        if tb.lower > 0.0:
+            assert tb.lower_witness is not None
+            assert_verified(NetworkParams(F1, 1.0 - F1, beta, tb.lower), p, tb.lower_witness)
+
+    def test_lower_witness_on_a_non_monotone_search(self):
+        # the search found witnesses at demands just below and above 0.702634
+        # but none there, so a second search at lower - tol came back empty
+        probs = np.array([0.3625, 0.2209, 0.0995, 0.3171])
+        probs = probs / probs.sum()
+        params = NetworkParams(F1=0.30037, F2=1.0 - 0.30037, beta=0.23110, eta=0.0)
+        tb = throughput_bounds(params, probs)
+        assert tb.lower > 0.0
+        assert tb.lower_witness is not None
+        assert_verified(NetworkParams(params.F1, params.F2, params.beta, tb.lower), probs, tb.lower_witness)
+
+    def test_steep_routing_repro(self):
+        p = REPRO_PROBS / REPRO_PROBS.sum()
+        v = stability_verdict(REPRO_PARAMS, p)
+        if v.classification == "certified-stable":
+            assert_verified(REPRO_PARAMS, p, v.witness)
+            rates = np.ones((4, 4)) - np.eye(4)
+            cert = lyapunov_certificate(REPRO_PARAMS, p, rates, v.witness)
+            assert cert.c > 0.0 and math.isfinite(cert.d)
+
+
+class TestValidateOnce:
+    def test_bounds_validate_at_the_entry_only(self, monkeypatch):
+        import faultroute
+        from faultroute import bounds, cli, model, stability
+
+        calls = []
+        original = model.validate_mode_probs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (faultroute, model, stability, bounds, cli):
+            monkeypatch.setattr(module, "validate_mode_probs", counted)
+        throughput_bounds(params_for(0.0, F1=0.6), UNIFORM)
+        assert 1 <= len(calls) <= 5
+
+
+def scalar_certificate(params, probs, rates, theta, grid_n=65, margin=1.1):
+    """``(a, c, d)`` built point by point with ``generator_value``."""
+    probs = validate_mode_probs(probs)
+    drift_max = mode_drift_maxima(params, theta)
+    dbar = float(probs @ drift_max)
+    c = -0.25 * dbar
+    q = np.array(rates, dtype=float)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    m = q.copy()
+    m[3, :] = [1.0, 0.0, 0.0, 0.0]
+    a = np.linalg.solve(m, np.array([dbar - drift_max[0], dbar - drift_max[1], dbar - drift_max[2], 1.0]))
+    span = max(5.0, theta[0], theta[1]) + 5.0
+    xs = np.linspace(0.0, span, grid_n)
+    xs = np.unique(np.concatenate([xs, [theta[0], theta[1], theta[0] + 1e-9, theta[1] + 1e-9]]))
+    offset_term = 0.0
+    remainder = 0.0
+    for s in (1, 2, 3, 4):
+        for x1 in xs:
+            for x2 in xs:
+                d1, d2 = _excess_rates(params, s, (x1, x2), theta)
+                offset_term = max(offset_term, a[s - 1] * (d1 + d2))
+                lv = generator_value(params, rates, a, theta, s, (x1, x2))
+                remainder = max(remainder, lv + c * (x1 + x2))
+    d = max(margin * offset_term + c * (theta[0] + theta[1]), margin * remainder)
+    return a, c, d
+
+
+class TestCertificateMatchesScalarLoop:
+    @pytest.mark.parametrize(
+        "params, probs, rates",
+        [
+            (params_for(0.6), UNIFORM, np.ones((4, 4)) - np.eye(4)),
+            (params_for(0.4, F1=0.7, beta=3.0), np.array([0.5, 0.2, 0.2, 0.1]), np.full((4, 4), 0.3) - 0.3 * np.eye(4)),
+            (params_for(0.5, F1=0.35, beta=120.0), np.array([0.7, 0.1, 0.15, 0.05]), np.ones((4, 4)) - np.eye(4)),
+            (params_for(0.2, F1=0.6, beta=0.05), np.array([0.4, 0.1, 0.3, 0.2]), np.ones((4, 4)) - np.eye(4)),
+        ],
+    )
+    def test_same_coefficients(self, params, probs, rates):
+        w = sufficient_search(params, probs)
+        assert w is not None
+        for theta in (w.theta, (round(w.theta[0], 1), round(w.theta[1], 1))):
+            if sufficient_value(params, probs, theta) >= 0.0:
+                continue
+            cert = lyapunov_certificate(params, probs, rates, theta)
+            a, c, d = scalar_certificate(params, probs, rates, theta)
+            assert np.array_equal(cert.a, a)
+            assert cert.c == c
+            assert cert.d == pytest.approx(d, rel=1e-12, abs=0.0)
