@@ -71,4 +71,4 @@ from .stability import (
     throughput_bounds,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

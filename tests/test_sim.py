@@ -1,14 +1,20 @@
 """Trajectory determinism, integrator order, jump statistics, and probes."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultroute import (
     NetworkParams,
+    NumericsError,
     ParameterError,
     SimConfig,
+    congestion_floors,
     integrate_mode,
     occupancy_batches,
     simulate,
@@ -16,6 +22,7 @@ from faultroute import (
     stationary_distribution,
     throughput_scan,
 )
+from faultroute.sim import _lockstep, _replication_seeds
 
 HOMOG = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.5)
 ONES = np.ones((4, 4)) - np.eye(4)
@@ -179,6 +186,30 @@ class TestJumpStatistics:
         se = batches.std(axis=0, ddof=1) / math.sqrt(30)
         assert np.all(np.abs(traj.mode_occupancy - p) < 4.0 * se + 1e-3)
 
+    def test_jump_log_draws_holding_time_then_target(self, traj):
+        # reference: one rng.random() per uniform, holding time first, then the target
+        rng = np.random.default_rng(11)
+        t, s, times, modes = 0.0, 1, [], []
+        while True:
+            rate = self.RATES[s - 1].sum()
+            t += -math.log1p(-rng.random()) / rate
+            if t > 3000.0:
+                break
+            target = rng.random() * rate
+            acc = 0.0
+            for j in range(4):
+                if j == s - 1 or self.RATES[s - 1][j] == 0.0:
+                    continue
+                acc += self.RATES[s - 1][j]
+                nxt = j + 1
+                if target <= acc:
+                    break
+            s = nxt
+            times.append(t)
+            modes.append(s)
+        assert traj.jump_times.tolist() == times
+        assert traj.jump_modes.tolist() == modes
+
     def test_occupancy_sums_to_one(self, traj):
         assert traj.mode_occupancy.sum() == pytest.approx(1.0, abs=1e-9)
         batches = occupancy_batches(traj, 30)
@@ -205,10 +236,15 @@ class TestStabilityProbe:
         probe = stability_probe(params, ONES, cfg, replications=2)
         assert probe.verdict == "empirically-stable"
 
-    def test_replication_seeds_follow_xor_rule(self):
-        cfg = SimConfig(horizon=20.0, step=0.01, seed=12)
-        probe = stability_probe(HOMOG, ONES, cfg, replications=3)
-        assert [r["seed"] for r in probe.run_stats] == [12 ^ 0, 12 ^ 1, 12 ^ 2]
+    def test_replication_seeds_are_independent_streams(self):
+        cfg = SimConfig(horizon=10.0, step=0.01, seed=0)
+        seeds = [r["seed"] for r in stability_probe(HOMOG, ONES, cfg, replications=3).run_stats]
+        other = [r["seed"] for r in stability_probe(HOMOG, ONES, replace(cfg, seed=1), replications=3).run_stats]
+        assert not set(seeds) & set(other)
+        five = stability_probe(HOMOG, ONES, cfg, replications=5)
+        assert [r["seed"] for r in five.run_stats][:3] == seeds
+        run = five.run_stats[4]
+        assert simulate(HOMOG, ONES, replace(cfg, seed=run["seed"])).summary() == run
 
     def test_requires_replications(self):
         with pytest.raises(ParameterError):
@@ -235,3 +271,102 @@ class TestThroughputScan:
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ParameterError):
             throughput_scan(HOMOG, ONES, SimConfig(horizon=10.0), [0.5, 1.3])
+
+
+LANE_TOL = 1e-12
+THRESHOLD = 1e-4  # stability_probe's default slope threshold
+
+
+def assert_lanes_match_probes(params, rates, cfg, etas, replications):
+    """Every lane of the lockstep scan equals the scalar probe's run at its demand."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # no slope from runs under 4 samples
+        scan = throughput_scan(params, rates, cfg, etas, replications=replications)
+        probes = [stability_probe(replace(params, eta=e), rates, cfg, replications) for e in etas]
+    for got, want in zip(scan.probes, probes):
+        assert len(got.run_stats) == len(want.run_stats) == replications
+        for run, ref in zip(got.run_stats, want.run_stats):
+            for key in ("samples", "jumps", "diverged", "seed"):
+                assert run[key] == ref[key], key
+            assert (run["diverged_at"] is None) == (ref["diverged_at"] is None)
+            for key in ("final_x", "final_avg_abs", "avg_slope", "growth_slope", "elapsed", "mode_occupancy"):
+                assert np.allclose(run[key], ref[key], rtol=LANE_TOL, atol=LANE_TOL, equal_nan=True), key
+            if ref["diverged_at"] is not None:
+                assert run["diverged_at"] == pytest.approx(ref["diverged_at"], rel=LANE_TOL, abs=LANE_TOL)
+        assert got.n_diverged == want.n_diverged
+        slopes = (want.median_avg_slope, got.median_avg_slope)
+        if not any(abs(m - th) <= 1e-9 for m in slopes for th in (THRESHOLD, 10.0 * THRESHOLD)):
+            assert got.verdict == want.verdict
+    return scan
+
+
+def assert_trajectories_match(params, rates, cfg, etas, replications):
+    """The lockstep's full trajectories against ``simulate``, lane by lane."""
+    lanes = [(replace(params, eta=e), seed) for e in etas for seed in _replication_seeds(cfg.seed, replications)]
+    for got, (lane_params, seed) in zip(_lockstep(lanes, rates, cfg), lanes):
+        ref = simulate(lane_params, rates, replace(cfg, seed=seed))
+        for key in ("t", "mode", "jump_times", "jump_modes"):
+            assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+        for key in ("x1", "x2", "avg_abs", "mode_occupancy"):
+            assert np.allclose(getattr(got, key), getattr(ref, key), rtol=LANE_TOL, atol=LANE_TOL), key
+        assert (got.elapsed, got.diverged, got.diverged_at) == (ref.elapsed, ref.diverged, ref.diverged_at)
+
+
+def start_total(params, cfg):
+    if cfg.x0 is not None:
+        return sum(cfg.x0)
+    floors = congestion_floors(params)
+    return sum(floors) if all(map(math.isfinite, floors)) else 0.0
+
+
+@st.composite
+def scan_cases(draw):
+    F1 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    beta = draw(st.floats(math.log(1e-3), math.log(500.0)).map(math.exp))
+    params = NetworkParams(F1, 1.0 - F1, min(beta, 500.0), 0.0)
+    etas = sorted(draw(st.lists(st.floats(0.0, 1.2), min_size=1, max_size=3)))
+    rates = np.zeros((4, 4))
+    rates[~np.eye(4, dtype=bool)] = draw(st.lists(st.floats(0.0, 2.0), min_size=12, max_size=12))
+    zero_row = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if zero_row is not None:
+        rates[zero_row] = 0.0
+    step = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    cfg = SimConfig(
+        horizon=draw(st.floats(2.0, 25.0)),
+        step=step,
+        seed=draw(st.integers(0, 2**63)),
+        x0=draw(st.one_of(st.none(), st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))),
+        s0=draw(st.integers(1, 4)),
+        sample_interval=max(step, draw(st.sampled_from([0.3, 0.5, 1.0]))),
+    )
+    # a cap just above the highest start, so fast-growing lanes diverge mid-batch
+    start = max(start_total(replace(params, eta=e), cfg) for e in etas)
+    cfg = replace(cfg, divergence_cap=start + draw(st.floats(0.5, 4.0)))
+    return params, rates, cfg, etas, draw(st.integers(1, 3))
+
+
+class TestLockstepScan:
+    @given(case=scan_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_lanes_match_scalar_probe(self, case):
+        assert_lanes_match_probes(*case)
+        assert_trajectories_match(*case)
+
+    def test_some_lanes_diverge_mid_batch(self):
+        cfg = SimConfig(horizon=300.0, step=0.05, seed=4, divergence_cap=8.0)
+        scan = assert_lanes_match_probes(HOMOG, JUMP_RATES, cfg, [0.3, 0.6, 1.1, 1.2], 3)
+        diverged = [[r["diverged"] for r in p.run_stats] for p in scan.probes]
+        assert diverged[0] == [False] * 3 and diverged[-1] == [True] * 3
+        assert all(r["diverged_at"] < 300.0 for r in scan.probes[-1].run_stats)
+
+    def test_same_seeds_at_every_demand(self):
+        scan = throughput_scan(HOMOG, ONES, SimConfig(horizon=5.0, seed=9), [0.2, 0.7], replications=2)
+        assert [r["seed"] for r in scan.probes[0].run_stats] == [r["seed"] for r in scan.probes[1].run_stats]
+
+    def test_non_finite_state_raises_in_both_integrators(self):
+        # a huge step overshoots far below zero, where expm1(-x) overflows
+        cfg = SimConfig(horizon=3e5, step=1e5, sample_interval=1e5, x0=(5.0, 5.0), s0=4)
+        with pytest.raises(NumericsError):
+            simulate(HOMOG, FROZEN, cfg)
+        with pytest.raises(NumericsError):
+            throughput_scan(HOMOG, FROZEN, cfg, [0.0, 0.5])
