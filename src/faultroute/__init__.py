@@ -28,7 +28,6 @@ from .errors import (
     WitnessError,
 )
 from .model import (
-    MODES,
     NetworkParams,
     fault_map,
     flow,
@@ -39,7 +38,6 @@ from .model import (
     vector_field,
 )
 from .sim import (
-    GENERATOR_NAME,
     ProbeResult,
     ScanResult,
     SimConfig,

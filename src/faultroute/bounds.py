@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, WitnessError
 from .model import NetworkParams, validate_mode_probs
-from .stability import Z_FLOOR, ThetaWitness, _drift_value, sufficient_search, sufficient_value, zoom_min
+from .stability import STRICT_DRIFT, Z_FLOOR, ThetaWitness, _drift_value, sufficient_search, sufficient_value, zoom_min
 
 PROB_TOL = 1e-12
 
@@ -270,8 +270,9 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     slower link to dominate every mode's max) and search along ``z``;
     otherwise fix the routing-asymmetry ratio just under ``gap/eta`` and
     search along ``z`` inside the window where the gap constraints hold.
-    Every candidate is verified by direct evaluation; if the construction
-    misses, the generic two-dimensional search is the fallback.
+    Every candidate is verified by direct evaluation and must beat
+    ``-STRICT_DRIFT``; if the construction misses, the generic
+    two-dimensional search is the fallback.
     """
     p = validate_mode_probs(probs)
     if abs(p[1] - p[2]) > 1e-9:
@@ -308,7 +309,7 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
             candidates.append(_sweep_z(params, p, lambda z: m * z, Z_FLOOR, 1.0 / m))
 
     for theta, value in candidates:
-        if value <= 0.0:
+        if value < -STRICT_DRIFT:
             return ThetaWitness(theta, value)
 
     fallback = sufficient_search(params, p)

@@ -25,8 +25,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -49,6 +50,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
 EXIT_INDETERMINATE = 3
+
+CURVE_POINTS = 101  # rows per figure CSV
+_SIM_TYPES = get_type_hints(SimConfig)
 
 _CLASSIFICATION_EXIT = {
     "certified-stable": EXIT_OK,
@@ -81,15 +85,9 @@ class ExperimentConfig:
         else:
             out["probs"] = [float(v) for v in self.probs]
         if self.sim is not None:
-            out["sim"] = {
-                "horizon": self.sim.horizon,
-                "step": self.sim.step,
-                "seed": self.sim.seed,
-                "x0": list(self.sim.x0) if self.sim.x0 is not None else None,
-                "s0": self.sim.s0,
-                "sample_interval": self.sim.sample_interval,
-                "divergence_cap": self.sim.divergence_cap,
-            }
+            out["sim"] = asdict(self.sim)
+            if self.sim.x0 is not None:
+                out["sim"]["x0"] = list(self.sim.x0)
         if self.eta_grid is not None:
             out["eta_grid"] = self.eta_grid
         return out
@@ -128,18 +126,25 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         s = dict(raw["sim"])
         if seed_override is not None:
             s["seed"] = seed_override
-        x0 = s.get("x0")
-        sim = SimConfig(
-            horizon=float(s["horizon"]),
-            step=float(s.get("step", 1e-2)),
-            seed=int(s.get("seed", 0)),
-            x0=(float(x0[0]), float(x0[1])) if x0 is not None else None,
-            s0=int(s.get("s0", 1)),
-            sample_interval=float(s.get("sample_interval", 1.0)),
-            divergence_cap=float(s.get("divergence_cap", 1e3)),
-        )
+        sim = _sim_config(s)
     eta_grid = [float(e) for e in raw["eta_grid"]] if "eta_grid" in raw else None
     return ExperimentConfig(params, kind, rates, probs, failure, sim, eta_grid)
+
+
+def _sim_config(raw: dict) -> SimConfig:
+    """``SimConfig`` from a ``sim`` mapping, each value cast to its field's type.
+
+    Absent keys take the dataclass defaults; unknown keys are ignored.
+    """
+    kwargs = {}
+    for f in fields(SimConfig):
+        if f.name in raw or f.default is MISSING:
+            value = raw[f.name]
+            if f.name == "x0":
+                kwargs["x0"] = (float(value[0]), float(value[1])) if value is not None else None
+            else:
+                kwargs[f.name] = _SIM_TYPES[f.name](value)
+    return SimConfig(**kwargs)
 
 
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -154,6 +159,12 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _write_json(path: Path, payload, default=float) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=default)
+        fh.write("\n")
+
+
 def _write_metadata(out_dir: Path, command: str, config: ExperimentConfig | None, started: float, extra: dict) -> None:
     meta = {
         "tool": "faultroute",
@@ -165,9 +176,7 @@ def _write_metadata(out_dir: Path, command: str, config: ExperimentConfig | None
         "wall_time_s": time.perf_counter() - started,
         **extra,
     }
-    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, default=float)
-        fh.write("\n")
+    _write_json(out_dir / "metadata.json", meta)
 
 
 def _annotations(cfg: ExperimentConfig) -> dict:
@@ -181,7 +190,12 @@ def _annotations(cfg: ExperimentConfig) -> dict:
     return notes
 
 
-def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, quiet: bool, started: float) -> int:
+def cmd_dump_config(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: None, started: float) -> int:
+    print(json.dumps(cfg.to_dict(), indent=2, default=float))
+    return EXIT_OK
+
+
+def cmd_check(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path | None, started: float) -> int:
     verdict = stability_verdict(cfg.params, cfg.probs)
     tb = throughput_bounds(cfg.params, cfg.probs)
     payload = verdict.to_dict()
@@ -189,48 +203,45 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None, quiet: bool, started:
     print(json.dumps(payload, indent=2, default=float))
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "verdict.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=float)
-            fh.write("\n")
+        _write_json(out_dir / "verdict.json", payload)
         _write_metadata(out_dir, "check", cfg, started, {"classification": verdict.classification})
     return _CLASSIFICATION_EXIT[verdict.classification]
 
 
-def cmd_bounds(cfg: ExperimentConfig, out_dir: Path | None, quiet: bool, started: float) -> int:
+def cmd_bounds(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path | None, started: float) -> int:
     tb = throughput_bounds(cfg.params, cfg.probs)
     payload = {"bounds": tb.to_dict(), "annotations": _annotations(cfg)}
     print(json.dumps(payload, indent=2, default=float))
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "bounds.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=float)
-            fh.write("\n")
+        _write_json(out_dir / "bounds.json", payload)
         _write_metadata(out_dir, "bounds", cfg, started, {})
     return EXIT_OK
 
 
-def cmd_figure(which: str, out_dir: Path, quiet: bool, started: float, n: int = 101) -> int:
+def cmd_figure(cfg: None, args: argparse.Namespace, out_dir: Path, started: float) -> int:
+    which = args.which
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if which == "homo-rate":
         path = out_dir / "figure_homo_rate.csv"
-        _write_csv(path, "p,lower_bound", [(float(p), float(b)) for p, b in failure_rate_curve(n)])
+        _write_csv(path, "p,lower_bound", [(float(p), float(b)) for p, b in failure_rate_curve(CURVE_POINTS)])
         written.append(path)
     elif which == "homo-corr":
         path = out_dir / "figure_homo_corr.csv"
-        _write_csv(path, "rho,lower_bound", [(float(r), float(b)) for r, b in correlation_curve(0.5, n)])
+        _write_csv(path, "rho,lower_bound", [(float(r), float(b)) for r, b in correlation_curve(0.5, CURVE_POINTS)])
         written.append(path)
     elif which == "hetero":
         path = out_dir / "figure_hetero.csv"
         _write_csv(
             path,
             "dF,lower_bound,upper_bound",
-            [(float(d), float(lo), float(up)) for d, lo, up in capacity_gap_curves(n)],
+            [(float(d), float(lo), float(up)) for d, lo, up in capacity_gap_curves(CURVE_POINTS)],
         )
         written.append(path)
         uniform = np.full(4, 0.25)
         rows = []
-        for dF in np.linspace(0.0, 1.0, n):
+        for dF in np.linspace(0.0, 1.0, CURVE_POINTS):
             params = NetworkParams(F1=(1.0 + dF) / 2.0, F2=(1.0 - dF) / 2.0, beta=1.0, eta=0.0)
             rows.append((float(dF), float(necessary_upper_bound(params, uniform))))
         numeric = out_dir / "figure_hetero_numeric_upper.csv"
@@ -239,7 +250,7 @@ def cmd_figure(which: str, out_dir: Path, quiet: bool, started: float, n: int = 
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown figure {which!r}")
     _write_metadata(out_dir, f"figure {which}", None, started, {"files": [p.name for p in written]})
-    if not quiet:
+    if not args.quiet:
         for p in written:
             print(f"wrote {p}")
     return EXIT_OK
@@ -250,7 +261,7 @@ def _trajectory_rows(traj: Trajectory):
         yield (float(t), int(s), float(x1), float(x2), float(avg))
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool, started: float) -> int:
+def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path, started: float) -> int:
     if cfg.sim is None:
         raise ParameterError("simulate requires a 'sim' section in the config")
     traj = simulate(cfg.params, cfg.rates, cfg.sim)
@@ -258,12 +269,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool, started: flo
     path = out_dir / "trajectory.csv"
     _write_csv(path, "t,mode,x1,x2,avg_abs_x", _trajectory_rows(traj))
     _write_metadata(out_dir, "simulate", cfg, started, {"summary": traj.summary()})
-    if not quiet:
+    if not args.quiet:
         print(f"wrote {path} ({len(traj.t)} samples, diverged={traj.diverged})")
     return EXIT_OK
 
 
-def cmd_scan(cfg: ExperimentConfig, out_dir: Path, quiet: bool, started: float) -> int:
+def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path, started: float) -> int:
     if cfg.sim is None:
         raise ParameterError("scan requires a 'sim' section in the config")
     grid = cfg.eta_grid if cfg.eta_grid is not None else [round(0.1 * k, 10) for k in range(1, 12)]
@@ -275,17 +286,10 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: Path, quiet: bool, started: float) 
     ]
     path = out_dir / "scan.csv"
     _write_csv(path, "eta,verdict,n_diverged,median_avg_slope,median_growth_slope", rows)
-    with open(out_dir / "scan.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, default=_json_default)
-        fh.write("\n")
-    _write_metadata(
-        out_dir,
-        "scan",
-        cfg,
-        started,
-        {"transition_window": [result.largest_stable, result.smallest_unstable]},
-    )
-    if not quiet:
+    _write_json(out_dir / "scan.json", result.to_dict(), default=_json_default)
+    window = [result.largest_stable, result.smallest_unstable]
+    _write_metadata(out_dir, "scan", cfg, started, {"transition_window": window})
+    if not args.quiet:
         print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -296,8 +300,28 @@ def _json_default(obj):
     return float(obj)
 
 
+# command -> (handler, whether it needs --config, output directory without --out);
+# --dump-config acts as a command
+_COMMANDS = {
+    "--dump-config": (cmd_dump_config, True, None),
+    "check": (cmd_check, True, None),
+    "bounds": (cmd_bounds, True, None),
+    "figure": (cmd_figure, False, "out"),
+    "simulate": (cmd_simulate, True, "out"),
+    "scan": (cmd_scan, True, "out"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_ERROR``; argparse's own code 2 means certified-unstable here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="faultroute",
         description="Stability verdicts, throughput bounds, and simulation for "
         "two-route networks with failure-prone density sensors.",
@@ -324,40 +348,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = None
-        if args.config is not None:
-            cfg = load_config(args.config, seed_override=args.seed)
-        if args.dump_config:
-            if cfg is None:
-                parser.error("--dump-config requires --config")
-            print(json.dumps(cfg.to_dict(), indent=2, default=float))
-            return EXIT_OK
-        if args.command is None:
+        cfg = load_config(args.config, seed_override=args.seed) if args.config is not None else None
+        command = "--dump-config" if args.dump_config else args.command
+        if command is None:
             parser.error("a subcommand is required (check, bounds, figure, simulate, scan)")
-        out_dir = Path(args.out) if args.out is not None else None
-        if args.command == "check":
-            if cfg is None:
-                parser.error("check requires --config")
-            return cmd_check(cfg, out_dir, args.quiet, started)
-        if args.command == "bounds":
-            if cfg is None:
-                parser.error("bounds requires --config")
-            return cmd_bounds(cfg, out_dir, args.quiet, started)
-        if args.command == "figure":
-            return cmd_figure(args.which, out_dir or Path("out"), args.quiet, started)
-        if args.command == "simulate":
-            if cfg is None:
-                parser.error("simulate requires --config")
-            return cmd_simulate(cfg, out_dir or Path("out"), args.quiet, started)
-        if args.command == "scan":
-            if cfg is None:
-                parser.error("scan requires --config")
-            return cmd_scan(cfg, out_dir or Path("out"), args.quiet, started)
-        parser.error(f"unknown command {args.command!r}")
+        handler, needs_config, default_out = _COMMANDS[command]
+        if needs_config and cfg is None:
+            parser.error(f"{command} requires --config")
+        out = args.out if args.out is not None else default_out
+        return handler(cfg, args, Path(out) if out is not None else None, started)
     except (ParameterError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

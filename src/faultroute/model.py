@@ -90,26 +90,52 @@ def flow(params: NetworkParams, k: int, x_k: float) -> float:
 def routing_fraction(params: NetworkParams, s: int, x: tuple[float, float]) -> tuple[float, float]:
     """Logit demand split based on the mode-``s`` observed densities.
 
-    Computed from the observation gap so large ``beta * x`` never overflows;
     ``mu2`` is returned as ``1 - mu1`` so the pair sums to 1 exactly.
     """
     o1, o2 = fault_map(s, x)
-    gap = params.beta * (o1 - o2)
-    if gap >= 0.0:
-        e = math.exp(-gap)
-        mu1 = e / (1.0 + e)
-    else:
-        e = math.exp(gap)
-        mu1 = 1.0 / (1.0 + e)
+    mu1 = _share(params.beta * (o1 - o2))
     return mu1, 1.0 - mu1
 
 
 def vector_field(params: NetworkParams, s: int, x: tuple[float, float]) -> tuple[float, float]:
     """Density drift ``(eta * mu_k - f_k)`` for both links in mode ``s``."""
-    mu1, mu2 = routing_fraction(params, s, x)
+    if s not in MODES or x[0] < 0.0 or x[1] < 0.0:
+        raise ParameterError(f"need a mode in {MODES} and nonnegative densities, got s={s}, x={x}")
+    return _field(params, s, x[0], x[1])
+
+
+def _share(gap: float) -> float:
+    """Link 1's logit share ``1 / (1 + e^gap)`` at ``gap = beta * (o1 - o2)``.
+
+    The exponent taken is never positive, so a large gap cannot overflow.
+    """
+    if gap >= 0.0:
+        e = math.exp(-gap)
+        return e / (1.0 + e)
+    e = math.exp(gap)
+    return 1.0 / (1.0 + e)
+
+
+def _field(params: NetworkParams, s: int, x1: float, x2: float) -> tuple[float, float]:
+    """The scalar model: ``(eta * mu_k - f_k)`` for both links in mode ``s``.
+
+    Unchecked: ``s`` must be a mode and the densities nonnegative.  The
+    simulator, the sufficient test and the certificate evaluate this one
+    function; ``vector_field`` is its checked form.
+    """
+    if s == 1:
+        o1, o2 = x1, x2
+    elif s == 2:
+        o1, o2 = 0.0, x2
+    elif s == 3:
+        o1, o2 = x1, 0.0
+    else:
+        o1 = o2 = 0.0
+    mu1 = _share(params.beta * (o1 - o2))
+    eta = params.eta
     return (
-        params.eta * mu1 - flow(params, 1, x[0]),
-        params.eta * mu2 - flow(params, 2, x[1]),
+        eta * mu1 - params.F1 * -math.expm1(-x1),
+        eta * (1.0 - mu1) - params.F2 * -math.expm1(-x2),
     )
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .model import NetworkParams, validate_rate_matrix
+from .model import NetworkParams, _field, validate_rate_matrix
 from .stability import congestion_floors
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -133,34 +133,11 @@ class Trajectory:
         }
 
 
-def _rhs(params: NetworkParams, s: int, x1: float, x2: float) -> tuple[float, float]:
-    if s == 1:
-        o1, o2 = x1, x2
-    elif s == 2:
-        o1, o2 = 0.0, x2
-    elif s == 3:
-        o1, o2 = x1, 0.0
-    else:
-        o1 = o2 = 0.0
-    gap = params.beta * (o1 - o2)
-    if gap >= 0.0:
-        e = math.exp(-gap)
-        mu1 = e / (1.0 + e)
-    else:
-        e = math.exp(gap)
-        mu1 = 1.0 / (1.0 + e)
-    eta = params.eta
-    return (
-        eta * mu1 - params.F1 * -math.expm1(-x1),
-        eta * (1.0 - mu1) - params.F2 * -math.expm1(-x2),
-    )
-
-
 def _rk4_step(params: NetworkParams, s: int, x1: float, x2: float, h: float) -> tuple[float, float]:
-    a1, a2 = _rhs(params, s, x1, x2)
-    b1, b2 = _rhs(params, s, x1 + 0.5 * h * a1, x2 + 0.5 * h * a2)
-    c1, c2 = _rhs(params, s, x1 + 0.5 * h * b1, x2 + 0.5 * h * b2)
-    d1, d2 = _rhs(params, s, x1 + h * c1, x2 + h * c2)
+    a1, a2 = _field(params, s, x1, x2)
+    b1, b2 = _field(params, s, x1 + 0.5 * h * a1, x2 + 0.5 * h * a2)
+    c1, c2 = _field(params, s, x1 + 0.5 * h * b1, x2 + 0.5 * h * b2)
+    d1, d2 = _field(params, s, x1 + h * c1, x2 + h * c2)
     return (
         x1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0,
         x2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0,

@@ -24,23 +24,24 @@ import numpy as np
 from .errors import CertificateError, ErgodicityError, MonotonicityError, NumericsError, ParameterError
 from .model import (
     NetworkParams,
+    _field,
     drift_field,
-    flow,
     generator_matrix,
-    routing_fraction,
     validate_mode_probs,
     validate_rate_matrix,
-    vector_field,
 )
 
 X_CAP = 50.0
 FLOOR_X_TOL = 1e-12
 STRICT_DRIFT = 1e-9  # a witness must beat this margin, not just 0
-Z_FLOOR = 1e-9
-GRID_N = 200
+Z_FLOOR = 1e-9  # the search box is theta in [0, -log(Z_FLOOR)] per link
+GRID_N = 200  # coarse search grid points per axis
 ZOOM_N = 17  # points per axis of each refinement grid
 ZOOM_LEVELS = 5  # refinement grids, each (ZOOM_N - 1) / 2 times finer than the last
 BISECT_TOL = 1e-4
+PRE_GRID = 11  # demands probed on [0, 1] before bisecting
+CERT_GRID_N = 65  # certificate sampling grid points per axis
+CERT_MARGIN = 1.1  # safety factor on the sampled certificate constant d
 
 _INEQUALITY_NAMES = ("necessary1", "necessary2", "necessary3")
 
@@ -201,21 +202,18 @@ def sufficient_value(params: NetworkParams, probs, theta: tuple[float, float]) -
     stationary mode distribution being negative certifies stability.  This
     scalar evaluation is the reference: every witness is checked with it.
     """
+    if theta[0] < 0.0 or theta[1] < 0.0:
+        raise ParameterError(f"theta must be nonnegative, got {theta}")
     return _drift_value(params, validate_mode_probs(probs), theta)
 
 
 def _drift_value(params: NetworkParams, p: np.ndarray, theta: tuple[float, float]) -> float:
+    """Unchecked ``sufficient_value``: ``theta`` nonnegative, ``p`` validated."""
     t1, t2 = theta
-    if t1 < 0.0 or t2 < 0.0:
-        raise ParameterError(f"theta must be nonnegative, got {theta}")
-    f1 = flow(params, 1, t1)
-    f2 = flow(params, 2, t2)
-    eta = params.eta
     total = 0.0
-    for s, ps in zip((1, 2, 3, 4), p):
-        mu1, mu2 = routing_fraction(params, s, (t1, t2))
-        total += ps * max(eta * mu1 - f1, eta * mu2 - f2)
-    return float(total)
+    for s, ps in zip((1, 2, 3, 4), p.tolist()):
+        total += ps * max(_field(params, s, t1, t2))
+    return total
 
 
 def zoom_min(values, center, step: float, lo: float, hi: float) -> np.ndarray:
@@ -236,27 +234,25 @@ def zoom_min(values, center, step: float, lo: float, hi: float) -> np.ndarray:
     return center
 
 
-def _searcher(params: NetworkParams, n_grid: int = GRID_N, z_floor: float = Z_FLOOR, refine: bool = True):
+def _searcher(params: NetworkParams):
     """Witness search for ``params``'s capacities and ``beta`` at any demand.
 
     The coarse drift field does not depend on the demand, so it is built
     once here and shared by every call of the returned ``search(params, p)``
     (``p`` already validated).
     """
-    thetas = -np.log(np.logspace(math.log10(z_floor), 0.0, n_grid))
+    thetas = -np.log(np.logspace(math.log10(Z_FLOOR), 0.0, GRID_N))
     coarse = drift_field(params, thetas[:, None], thetas[None, :])
-    step = thetas[0] / max(n_grid - 1, 1)  # the grid is uniform in theta
+    step = thetas[0] / (GRID_N - 1)  # the grid is uniform in theta
 
     def search(params: NetworkParams, p: np.ndarray) -> ThetaWitness | None:
         eta = params.eta
         values = coarse.averaged(eta, p)
         i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-        theta = (thetas[i], thetas[j])
-        if refine:
-            theta = zoom_min(
-                lambda t1, t2: drift_field(params, t1, t2).averaged(eta, p), theta, step, 0.0, thetas[0]
-            )
-        theta = (float(theta[0]), float(theta[1]))
+        t1, t2 = zoom_min(
+            lambda a, b: drift_field(params, a, b).averaged(eta, p), (thetas[i], thetas[j]), step, 0.0, thetas[0]
+        )
+        theta = (float(t1), float(t2))
         drift = _drift_value(params, p, theta)
         if drift < -STRICT_DRIFT:
             return ThetaWitness(theta, drift)
@@ -265,29 +261,23 @@ def _searcher(params: NetworkParams, n_grid: int = GRID_N, z_floor: float = Z_FL
     return search
 
 
-def sufficient_search(
-    params: NetworkParams,
-    probs,
-    n_grid: int = GRID_N,
-    z_floor: float = Z_FLOOR,
-    refine: bool = True,
-) -> ThetaWitness | None:
+def sufficient_search(params: NetworkParams, probs) -> ThetaWitness | None:
     """Search for a threshold pair with strictly negative averaged drift.
 
-    Evaluates the drift field on the ``n_grid`` x ``n_grid`` grid
-    ``theta = -log(logspace(log10(z_floor), 0, n_grid))`` per coordinate,
-    uniform in ``theta`` over ``[0, -log(z_floor)]``.  With ``refine`` the
-    best grid point is polished by ``ZOOM_LEVELS`` finer ``ZOOM_N`` x
-    ``ZOOM_N`` grids, each spanning one spacing of the last around its best
-    point.  The chosen ``theta`` is then re-evaluated with the scalar
-    ``sufficient_value``, and the witness carries that value; a point that
-    does not beat ``-STRICT_DRIFT`` there is never returned.  Deterministic;
-    ``None`` (no witness) is a valid outcome, not an error.
+    Evaluates the drift field on the ``GRID_N`` x ``GRID_N`` grid
+    ``theta = -log(logspace(log10(Z_FLOOR), 0, GRID_N))`` per coordinate,
+    uniform in ``theta`` over ``[0, -log(Z_FLOOR)]``.  The best grid point is
+    polished by ``ZOOM_LEVELS`` finer ``ZOOM_N`` x ``ZOOM_N`` grids, each
+    spanning one spacing of the last around its best point.  The chosen
+    ``theta`` is then re-evaluated with the scalar ``sufficient_value``, and
+    the witness carries that value; a point that does not beat
+    ``-STRICT_DRIFT`` there is never returned.  Deterministic; ``None`` (no
+    witness) is a valid outcome, not an error.
     """
-    return _searcher(params, n_grid, z_floor, refine)(params, validate_mode_probs(probs))
+    return _searcher(params)(params, validate_mode_probs(probs))
 
 
-def stability_verdict(params: NetworkParams, probs, **search_kwargs) -> StabilityVerdict:
+def stability_verdict(params: NetworkParams, probs) -> StabilityVerdict:
     """Combine both tests into a three-way classification.
 
     A failed necessary test certifies instability outright; a found witness
@@ -297,21 +287,21 @@ def stability_verdict(params: NetworkParams, probs, **search_kwargs) -> Stabilit
     necessary = necessary_condition(params, probs)
     if not necessary.holds:
         return StabilityVerdict(necessary, False, None, "certified-unstable")
-    witness = sufficient_search(params, probs, **search_kwargs)
+    witness = sufficient_search(params, probs)
     if witness is not None:
         return StabilityVerdict(necessary, True, witness, "certified-stable")
     return StabilityVerdict(necessary, False, None, "indeterminate")
 
 
-def _bisect_predicate(predicate, pre_grid: int, tol: float, label: str):
+def _bisect_predicate(predicate, tol: float, label: str):
     """Bisection for the flip point of a monotone predicate on [0, 1].
 
-    Probes a coarse grid first; any true-after-false pattern is reported as a
-    monotonicity violation instead of being silently bisected over.
-    Returns (largest eta seen true, smallest eta seen false, and the
-    evaluation records at those points).
+    Probes ``PRE_GRID`` evenly spaced demands first; any true-after-false
+    pattern is reported as a monotonicity violation instead of being
+    silently bisected over.  Returns (largest eta seen true, smallest eta
+    seen false).
     """
-    etas = np.linspace(0.0, 1.0, pre_grid)
+    etas = np.linspace(0.0, 1.0, PRE_GRID)
     results = [(float(e), predicate(float(e))) for e in etas]
     first_false = next((k for k, (_, ok) in enumerate(results) if not ok), None)
     if first_false is not None:
@@ -337,13 +327,7 @@ def _bisect_predicate(predicate, pre_grid: int, tol: float, label: str):
     return lo, hi
 
 
-def throughput_bounds(
-    params: NetworkParams,
-    probs,
-    tol: float = BISECT_TOL,
-    pre_grid: int = 11,
-    **search_kwargs,
-) -> ThroughputBounds:
+def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     """Bracket the maximal sustainable demand for fixed capacities and faults.
 
     ``lower`` is the largest demand at which the sufficient search certifies
@@ -357,7 +341,7 @@ def throughput_bounds(
     itself; it also certifies every smaller demand.
     """
     p = validate_mode_probs(probs)
-    search = _searcher(params, **search_kwargs)
+    search = _searcher(params)
     witnesses: dict[float, ThetaWitness] = {}
 
     def stable_at(eta: float) -> bool:
@@ -366,13 +350,10 @@ def throughput_bounds(
             witnesses[eta] = w
         return w is not None
 
-    def necessary_holds_at(eta: float) -> bool:
-        return _necessary(replace(params, eta=eta), p).holds
+    lower, _ = _bisect_predicate(stable_at, BISECT_TOL, "sufficient")
+    upper = _necessary_upper(params, p, BISECT_TOL)
 
-    lower, _ = _bisect_predicate(stable_at, pre_grid, tol, "sufficient")
-    _, upper = _bisect_predicate(necessary_holds_at, pre_grid, tol, "necessary")
-
-    violation = _necessary(replace(params, eta=min(1.0, upper + tol)), p).first_violated()
+    violation = _necessary(replace(params, eta=min(1.0, upper + BISECT_TOL)), p).first_violated()
     if violation is None:
         violation = _necessary(replace(params, eta=1.0), p).first_violated()
     if lower > upper:
@@ -380,12 +361,13 @@ def throughput_bounds(
     return ThroughputBounds(lower, upper, witnesses.get(lower), violation)
 
 
-def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL, pre_grid: int = 11) -> float:
+def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL) -> float:
     """Smallest demand at which the necessary test fails (demand in ``params`` ignored)."""
-    p = validate_mode_probs(probs)
-    _, upper = _bisect_predicate(
-        lambda e: _necessary(replace(params, eta=e), p).holds, pre_grid, tol, "necessary"
-    )
+    return _necessary_upper(params, validate_mode_probs(probs), tol)
+
+
+def _necessary_upper(params: NetworkParams, p: np.ndarray, tol: float) -> float:
+    _, upper = _bisect_predicate(lambda e: _necessary(replace(params, eta=e), p).holds, tol, "necessary")
     return upper
 
 
@@ -398,8 +380,7 @@ def mode_drift_maxima(params: NetworkParams, theta: tuple[float, float]) -> np.n
 
 def _excess_rates(params: NetworkParams, s: int, x: tuple[float, float], theta: tuple[float, float]):
     """Growth rates of the above-threshold excess (x_k - theta_k)_+."""
-    mu1, mu2 = routing_fraction(params, s, x)
-    g = (params.eta * mu1 - flow(params, 1, x[0]), params.eta * mu2 - flow(params, 2, x[1]))
+    g = _field(params, s, x[0], x[1])
     rates = []
     for k in (0, 1):
         if x[k] > theta[k]:
@@ -432,8 +413,6 @@ def lyapunov_certificate(
     probs,
     rates,
     theta: ThetaWitness | tuple[float, float],
-    grid_n: int = 65,
-    margin: float = 1.1,
 ) -> LyapunovCertificate:
     """Build the drift certificate ``LV <= -c|x| + d`` for a valid witness.
 
@@ -443,7 +422,7 @@ def lyapunov_certificate(
     ``c`` is a quarter of the negated averaged drift.  ``d`` is estimated by
     sampling: the offset term maximum plus ``c * |theta|`` (the below-threshold
     region contributes exactly that), floored by the sampled remainder max,
-    with a 10% margin; only finiteness of ``d`` matters for the certificate.
+    with a ``CERT_MARGIN`` safety factor; only finiteness of ``d`` matters for the certificate.
     """
     p = validate_mode_probs(probs)
     rmat = validate_rate_matrix(rates, require_irreducible=False)
@@ -468,7 +447,7 @@ def lyapunov_certificate(
         raise NumericsError(f"offset system residual {residual:.3e} exceeds 1e-10")
 
     span = max(5.0, th[0], th[1]) + 5.0
-    xs = np.linspace(0.0, span, grid_n)
+    xs = np.linspace(0.0, span, CERT_GRID_N)
     xs = np.unique(np.concatenate([xs, [th[0], th[1], th[0] + 1e-9, th[1] + 1e-9]]))
     x1, x2 = xs[:, None], xs[None, :]
     w = np.maximum(x1 - th[0], 0.0) + np.maximum(x2 - th[1], 0.0)
@@ -481,7 +460,7 @@ def lyapunov_certificate(
         offset_term = max(offset_term, float(np.max(a[i] * d12)))
         lv = (d12 + jump) * w + a[i] * d12
         remainder = max(remainder, float(np.max(lv + c * (x1 + x2))))
-    d = max(margin * offset_term + c * (th[0] + th[1]), margin * remainder)
+    d = max(CERT_MARGIN * offset_term + c * (th[0] + th[1]), CERT_MARGIN * remainder)
     return LyapunovCertificate(a, drift_max, c, d, th, residual)
 
 
@@ -517,7 +496,7 @@ def invariant_set_check(
         if not (below1 or below2):
             continue
         outside += 1
-        g1, g2 = vector_field(params, s, x)
+        g1, g2 = _field(params, s, x[0], x[1])
         if (below1 and g1 <= 0.0) or (below2 and g2 <= 0.0):
             bad.append((s, x, (g1, g2)))
     return InvariantSetReport(samples, outside, bad, not bad)

@@ -29,6 +29,7 @@ from faultroute import (
     stationary_distribution,
     sufficient_value,
 )
+from faultroute.stability import STRICT_DRIFT
 
 UNIFORM = np.full(4, 0.25)
 
@@ -253,24 +254,24 @@ class TestHeteroWitness:
     def test_equal_capacity_case(self):
         params = NetworkParams(0.5, 0.5, 1.0, 0.6)
         w = hetero_witness(params, UNIFORM)
-        assert w.drift <= 0.0
+        assert w.drift < -STRICT_DRIFT
         assert sufficient_value(params, UNIFORM, w.theta) == pytest.approx(w.drift, abs=1e-12)
 
     def test_wide_gap_case_uses_capped_first_threshold(self):
         params = NetworkParams(0.9, 0.1, 1.0, 0.2)
         w = hetero_witness(params, UNIFORM)
-        assert w.drift <= 0.0
+        assert w.drift < -STRICT_DRIFT
         # construction fixes exp(-theta1) at 1 - (eta + F2)/F1 = 2/3
         assert math.exp(-w.theta[0]) <= 2.0 / 3.0 + 1e-9
 
     def test_zero_demand(self):
         params = NetworkParams(0.6, 0.4, 1.0, 0.0)
-        assert hetero_witness(params, UNIFORM).drift <= 0.0
+        assert hetero_witness(params, UNIFORM).drift < -STRICT_DRIFT
 
     def test_gap_dominating_demand_case(self):
         params = NetworkParams(0.75, 0.25, 1.0, 0.55)  # gap 0.5 <= demand < bound
         w = hetero_witness(params, UNIFORM)
-        assert w.drift <= 0.0
+        assert w.drift < -STRICT_DRIFT
 
     def test_preconditions_enforced(self):
         with pytest.raises(ParameterError):
@@ -294,7 +295,7 @@ class TestHeteroWitness:
             params = NetworkParams((1.0 + dF) / 2.0, (1.0 - dF) / 2.0, 1.0, eta)
             probs = np.array([p1, p2, p2, p4])
             w = hetero_witness(params, probs)
-            assert w.drift <= 0.0
+            assert w.drift < -STRICT_DRIFT
             assert sufficient_value(params, probs, w.theta) <= 0.0
 
 

@@ -132,9 +132,34 @@ class TestDumpConfig:
         reparsed = parse_config(dumped)
         assert reparsed.to_dict() == dumped
 
+    def test_sim_defaults_and_unknown_keys(self, tmp_path):
+        from faultroute import SimConfig
+
+        cfg = write_config(tmp_path, sim={"horizon": 5, "x0": [1, 2], "later_key": 1})
+        parsed = load_config(str(cfg))
+        assert parsed.sim == SimConfig(horizon=5.0, x0=(1.0, 2.0))
+        assert parsed.to_dict()["sim"] == {
+            "horizon": 5.0, "step": 0.01, "seed": 0, "x0": [1.0, 2.0], "s0": 1,
+            "sample_interval": 1.0, "divergence_cap": 1000.0,
+        }
+
     def test_requires_config(self, capsys):
         with pytest.raises(SystemExit):
             main(["--dump-config"])
+
+
+class TestUsageErrors:
+    """Usage errors exit 1, never 2, which means certified-unstable."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["bounds"], ["simulate"], ["scan"], ["--dump-config"], [], ["figure", "nope"]],
+    )
+    def test_exit_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "error" in capsys.readouterr().err
 
 
 class TestFigures:

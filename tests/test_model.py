@@ -21,7 +21,8 @@ from faultroute import (
     validate_rate_matrix,
     vector_field,
 )
-from faultroute.model import drift_field
+from faultroute.model import _field, drift_field
+from faultroute.stability import _drift_value
 
 HALF = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.8)
 
@@ -336,3 +337,103 @@ class TestDriftField:
         params = NetworkParams(F1=0.5, F2=0.5, beta=500.0, eta=0.5)
         mu1, mu2 = drift_field(params, 20.0, 5.0).shares[0]
         assert mu1 == 0.0 and mu2 == 1.0
+
+
+def old_rhs(params, s, x1, x2):
+    """The simulator's right-hand side as it stood before the field moved to the model."""
+    if s == 1:
+        o1, o2 = x1, x2
+    elif s == 2:
+        o1, o2 = 0.0, x2
+    elif s == 3:
+        o1, o2 = x1, 0.0
+    else:
+        o1 = o2 = 0.0
+    gap = params.beta * (o1 - o2)
+    if gap >= 0.0:
+        e = math.exp(-gap)
+        mu1 = e / (1.0 + e)
+    else:
+        e = math.exp(gap)
+        mu1 = 1.0 / (1.0 + e)
+    eta = params.eta
+    return (
+        eta * mu1 - params.F1 * -math.expm1(-x1),
+        eta * (1.0 - mu1) - params.F2 * -math.expm1(-x2),
+    )
+
+
+def old_routing(params, s, x):
+    o1, o2 = ((x[0], x[1]), (0.0, x[1]), (x[0], 0.0), (0.0, 0.0))[s - 1]
+    gap = params.beta * (o1 - o2)
+    if gap >= 0.0:
+        e = math.exp(-gap)
+        mu1 = e / (1.0 + e)
+    else:
+        e = math.exp(gap)
+        mu1 = 1.0 / (1.0 + e)
+    return mu1, 1.0 - mu1
+
+
+def old_flow(params, k, x_k):
+    return (params.F1, params.F2)[k - 1] * -math.expm1(-x_k)
+
+
+def old_drift_value(params, p, theta):
+    t1, t2 = theta
+    f1 = old_flow(params, 1, t1)
+    f2 = old_flow(params, 2, t2)
+    total = 0.0
+    for s, ps in zip((1, 2, 3, 4), p):
+        mu1, mu2 = old_routing(params, s, (t1, t2))
+        total += ps * max(params.eta * mu1 - f1, params.eta * mu2 - f2)
+    return float(total)
+
+
+class TestScalarField:
+    """The one scalar field is bit-identical to the formulas it replaced.
+
+    Byte-identical trajectories and witness drifts depend on ``==`` here, not
+    on closeness.
+    """
+
+    @given(
+        x1=thresholds,
+        x2=thresholds,
+        s=modes,
+        F1=capacities,
+        beta=betas,
+        eta=st.floats(0.0, 1.2),
+    )
+    @settings(max_examples=500)
+    def test_field_equals_old_forms(self, x1, x2, s, F1, beta, eta):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        g = _field(params, s, x1, x2)
+        assert g == old_rhs(params, s, x1, x2)
+        mu1, mu2 = old_routing(params, s, (x1, x2))
+        assert g == (eta * mu1 - old_flow(params, 1, x1), eta * mu2 - old_flow(params, 2, x2))
+        assert vector_field(params, s, (x1, x2)) == g
+        assert routing_fraction(params, s, (x1, x2)) == (mu1, mu2)
+
+    @given(
+        t1=thresholds,
+        t2=thresholds,
+        F1=capacities,
+        beta=betas,
+        eta=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=500)
+    def test_sufficient_value_equals_old_drift(self, t1, t2, F1, beta, eta, seed):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        raw = dirichlet(seed)
+        p = validate_mode_probs(raw)
+        expected = old_drift_value(params, p, (t1, t2))
+        assert sufficient_value(params, raw, (t1, t2)) == expected
+        assert _drift_value(params, p, (t1, t2)) == expected
+
+    def test_vector_field_checks_its_inputs(self):
+        with pytest.raises(ParameterError):
+            vector_field(HALF, 5, (1.0, 1.0))
+        with pytest.raises(ParameterError):
+            vector_field(HALF, 1, (-0.5, 1.0))

@@ -244,7 +244,7 @@ class TestThroughputBounds:
             return eta < 0.3 or 0.5 < eta < 0.7
 
         with pytest.raises(MonotonicityError) as err:
-            _bisect_predicate(bad, 11, 1e-4, "synthetic")
+            _bisect_predicate(bad, 1e-4, "synthetic")
         lo, hi = err.value.eta_pair
         assert lo < hi
 
