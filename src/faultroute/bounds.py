@@ -253,12 +253,12 @@ def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_lo: float, z_hi: fl
         return -math.log(y), t
 
     def values(ts: np.ndarray) -> np.ndarray:
-        return np.array([_drift_value(params, p, theta(float(t))) for t in ts])
+        return np.array([_drift_value(params, p, theta(t)) for t in ts.ravel().tolist()]).reshape(ts.shape)
 
     ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
     t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
     best = float(ts[int(np.argmin(values(ts)))])
-    t = float(zoom_min(values, [best], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0])
+    t = float(zoom_min(values, [[best]], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0, 0])
     return theta(t), sufficient_value(params, p, theta(t))
 
 

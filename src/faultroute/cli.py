@@ -134,16 +134,28 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 def _sim_config(raw: dict) -> SimConfig:
     """``SimConfig`` from a ``sim`` mapping, each value cast to its field's type.
 
-    Absent keys take the dataclass defaults; unknown keys are ignored.
+    Absent keys take the dataclass defaults; unknown keys are ignored.  A
+    missing required key or a value of the wrong shape raises
+    ``ParameterError`` naming the key.
     """
     kwargs = {}
     for f in fields(SimConfig):
-        if f.name in raw or f.default is MISSING:
-            value = raw[f.name]
-            if f.name == "x0":
-                kwargs["x0"] = (float(value[0]), float(value[1])) if value is not None else None
-            else:
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ParameterError(f"sim is missing required key '{f.name}'")
+            continue
+        value = raw[f.name]
+        try:
+            if f.name != "x0":
                 kwargs[f.name] = _SIM_TYPES[f.name](value)
+            elif value is None:
+                kwargs["x0"] = None
+            elif isinstance(value, (list, tuple)) and len(value) == 2:
+                kwargs["x0"] = (float(value[0]), float(value[1]))
+            else:
+                raise TypeError("expected a list of two numbers or null")
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"sim key '{f.name}' has a bad value {value!r}: {exc}") from exc
     return SimConfig(**kwargs)
 
 

@@ -40,6 +40,7 @@ class NetworkParams:
     """Link capacities, routing sensitivity, and demand.
 
     Capacities are normalized: ``F1 + F2 == 1`` is required (not rescaled).
+    Every field must be finite.
     """
 
     F1: float
@@ -48,6 +49,9 @@ class NetworkParams:
     eta: float
 
     def __post_init__(self):
+        for name in ("F1", "F2", "beta", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.F1 < 0.0 or self.F2 < 0.0:
             raise ParameterError(f"capacities must be nonnegative, got ({self.F1}, {self.F2})")
         if abs(self.F1 + self.F2 - 1.0) > CAPACITY_TOL:

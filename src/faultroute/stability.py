@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CertificateError, ErgodicityError, MonotonicityError, NumericsError, ParameterError
 from .model import (
+    DriftField,
     NetworkParams,
     _field,
     drift_field,
@@ -36,6 +37,8 @@ FLOOR_X_TOL = 1e-12
 STRICT_DRIFT = 1e-9  # a witness must beat this margin, not just 0
 Z_FLOOR = 1e-9  # the search box is theta in [0, -log(Z_FLOOR)] per link
 GRID_N = 200  # coarse search grid points per axis
+BLOCK = 5  # coarse grid points per block side; divides GRID_N
+CHUNK = 64  # blocks evaluated per pass of the pruned coarse search
 ZOOM_N = 17  # points per axis of each refinement grid
 ZOOM_LEVELS = 5  # refinement grids, each (ZOOM_N - 1) / 2 times finer than the last
 BISECT_TOL = 1e-4
@@ -216,65 +219,153 @@ def _drift_value(params: NetworkParams, p: np.ndarray, theta: tuple[float, float
     return total
 
 
-def zoom_min(values, center, step: float, lo: float, hi: float) -> np.ndarray:
-    """Refine a grid minimum of ``values`` around the point ``center``.
+def zoom_min(values, centers, step: float, lo: float, hi: float) -> np.ndarray:
+    """Refine grid minima of ``values`` around each of the points ``centers``.
 
-    Each of ``ZOOM_LEVELS`` levels lays ``ZOOM_N`` points per coordinate over
-    ``center +- step``, clipped to ``[lo, hi]``, moves ``center`` to the best
-    point of that grid and shrinks ``step`` to the grid's spacing.
-    ``values`` takes one open-mesh array per coordinate.
+    ``centers`` has shape ``(m, d)``: ``m`` independent searches in ``d``
+    coordinates.  Each of ``ZOOM_LEVELS`` levels lays ``ZOOM_N`` points per
+    coordinate over ``center +- step``, clipped to ``[lo, hi]``, moves each
+    center to the first best point of its grid and shrinks ``step`` to the
+    grid's spacing.  ``values`` takes one open-mesh array per coordinate,
+    each with a leading batch axis of length ``m``, and returns the
+    ``(m, ZOOM_N, ..., ZOOM_N)`` grid values.  Returns the refined ``(m, d)``
+    centers.  Each search comes out bit for bit as it would alone unless
+    ``((center + step) - (center - step)) / (ZOOM_N - 1)`` rounds to 0 in
+    some coordinate: only then does ``linspace`` with array endpoints
+    switch every element to another formula.
     """
-    center = np.asarray(center, dtype=float)
+    centers = np.array(centers, dtype=float)
+    m, d = centers.shape
+    lanes = np.arange(m)[:, None], np.arange(d)
     for _ in range(ZOOM_LEVELS):
-        axes = [np.clip(np.linspace(c - step, c + step, ZOOM_N), lo, hi) for c in center]
-        v = values(*np.ix_(*axes))
-        best = np.unravel_index(int(np.argmin(v)), v.shape)
-        center = np.array([axis[k] for axis, k in zip(axes, best)])
+        axes = np.clip(np.linspace(centers - step, centers + step, ZOOM_N), lo, hi)  # (ZOOM_N, m, d)
+        mesh = [axes[:, :, k].T.reshape((m,) + (1,) * k + (ZOOM_N,) + (1,) * (d - 1 - k)) for k in range(d)]
+        best = np.unravel_index(np.argmin(values(*mesh).reshape(m, -1), axis=1), (ZOOM_N,) * d)
+        centers = axes[(np.array(best).T, *lanes)]
         step *= 2.0 / (ZOOM_N - 1)
-    return center
+    return centers
 
 
-def _searcher(params: NetworkParams):
-    """Witness search for ``params``'s capacities and ``beta`` at any demand.
+def _block_bounds(field: DriftField) -> DriftField:
+    """Per-block field that bounds every point's averaged drift from below.
+
+    ``field`` is block-major, ``[bi, bj, i, j]``.  The shares are minimized
+    and the outflows maximized over each block.  ``averaged`` uses only
+    ``eta * mu``, ``-``, ``max``, ``* p_s`` and ``+`` with ``eta, p_s >= 0``.
+    Rounded to nearest, each of these is monotone in each input, so the
+    computed bound of a block is ``<=`` every computed value in it: a proof,
+    not an estimate, as long as no value is NaN (``NetworkParams`` admits
+    only finite fields).
+    """
+    inner = (2, 3)
+    return DriftField(
+        tuple((mu1.min(axis=inner), mu2.min(axis=inner)) for mu1, mu2 in field.shares),
+        field.f1.max(axis=inner),
+        field.f2.max(axis=inner),
+        field.fmin.max(axis=inner),
+    )
+
+
+def _take_blocks(field: DriftField, bi: np.ndarray, bj: np.ndarray) -> DriftField:
+    """The blocks ``(bi[n], bj[n])`` of a block-major field, stacked on axis 0."""
+
+    def take(a: np.ndarray) -> np.ndarray:
+        return a[bi if a.shape[0] > 1 else 0, bj if a.shape[1] > 1 else 0]
+
+    return DriftField(
+        tuple((take(mu1), take(mu2)) for mu1, mu2 in field.shares),
+        take(field.f1),
+        take(field.f2),
+        take(field.fmin),
+    )
+
+
+class _Searcher:
+    """Witness search for ``params``'s capacities and ``beta`` at any demands.
 
     The coarse drift field does not depend on the demand, so it is built
-    once here and shared by every call of the returned ``search(params, p)``
-    (``p`` already validated).
+    once here, block-major in ``BLOCK`` x ``BLOCK`` blocks (``[bi, bj, i, j]``
+    is grid point ``(BLOCK * bi + i, BLOCK * bj + j)``), and shared by every
+    call.  No state carries over from one call to the next.
     """
-    thetas = -np.log(np.logspace(math.log10(Z_FLOOR), 0.0, GRID_N))
-    coarse = drift_field(params, thetas[:, None], thetas[None, :])
-    step = thetas[0] / (GRID_N - 1)  # the grid is uniform in theta
 
-    def search(params: NetworkParams, p: np.ndarray) -> ThetaWitness | None:
-        eta = params.eta
-        values = coarse.averaged(eta, p)
-        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-        t1, t2 = zoom_min(
-            lambda a, b: drift_field(params, a, b).averaged(eta, p), (thetas[i], thetas[j]), step, 0.0, thetas[0]
+    def __init__(self, params: NetworkParams):
+        self.params = params
+        self.thetas = -np.log(np.logspace(math.log10(Z_FLOOR), 0.0, GRID_N))
+        tb = self.thetas.reshape(GRID_N // BLOCK, BLOCK)
+        self.coarse = drift_field(params, tb[:, None, :, None], tb[None, :, None, :])
+        self.floor = _block_bounds(self.coarse)
+
+    def coarse_argmin(self, eta: float, p: np.ndarray) -> tuple[int, int]:
+        """``np.argmin`` of the averaged drift over the whole grid, by branch and bound.
+
+        Blocks are evaluated ``CHUNK`` at a time in order of their bound until
+        every block left is bounded above the running minimum; blocks whose
+        bound equals it are evaluated, so ties survive and the first grid
+        point in row-major order that holds the minimum is returned.
+        """
+        nb = GRID_N // BLOCK
+        bound = self.floor.averaged(eta, p).ravel()
+        order = np.argsort(bound)
+        ranked = bound[order]
+        best = math.inf
+        seen = []
+        done = 0
+        while True:
+            stop = min(done + CHUNK, int(np.searchsorted(ranked, best, side="right")))
+            if stop <= done:
+                break
+            ks = order[done:stop]
+            values = _take_blocks(self.coarse, ks // nb, ks % nb).averaged(eta, p)
+            best = min(best, float(values.min()))
+            seen.append((ks, values))
+            done = stop
+        first = GRID_N * GRID_N
+        for ks, values in seen:
+            n, i, j = np.nonzero(values == best)
+            if n.size:
+                flat = (ks[n] // nb * BLOCK + i) * GRID_N + ks[n] % nb * BLOCK + j
+                first = min(first, int(flat.min()))
+        return divmod(first, GRID_N)
+
+    def __call__(self, etas: list[float], p: np.ndarray) -> list[ThetaWitness | None]:
+        """One witness or ``None`` per demand in ``etas`` (``p`` already validated)."""
+        params, thetas = self.params, self.thetas
+        centers = [(thetas[i], thetas[j]) for i, j in (self.coarse_argmin(eta, p) for eta in etas)]
+        eta_col = np.array(etas, dtype=float)[:, None, None]
+        refined = zoom_min(
+            lambda a, b: drift_field(params, a, b).averaged(eta_col, p),
+            centers,
+            thetas[0] / (GRID_N - 1),  # the grid is uniform in theta
+            0.0,
+            thetas[0],
         )
-        theta = (float(t1), float(t2))
-        drift = _drift_value(params, p, theta)
-        if drift < -STRICT_DRIFT:
-            return ThetaWitness(theta, drift)
-        return None
-
-    return search
+        out = []
+        for eta, (t1, t2) in zip(etas, refined.tolist()):
+            drift = _drift_value(replace(params, eta=eta), p, (t1, t2))
+            out.append(ThetaWitness((t1, t2), drift) if drift < -STRICT_DRIFT else None)
+        return out
 
 
 def sufficient_search(params: NetworkParams, probs) -> ThetaWitness | None:
     """Search for a threshold pair with strictly negative averaged drift.
 
-    Evaluates the drift field on the ``GRID_N`` x ``GRID_N`` grid
+    Finds the minimum of the drift field on the ``GRID_N`` x ``GRID_N`` grid
     ``theta = -log(logspace(log10(Z_FLOOR), 0, GRID_N))`` per coordinate,
-    uniform in ``theta`` over ``[0, -log(Z_FLOOR)]``.  The best grid point is
-    polished by ``ZOOM_LEVELS`` finer ``ZOOM_N`` x ``ZOOM_N`` grids, each
-    spanning one spacing of the last around its best point.  The chosen
-    ``theta`` is then re-evaluated with the scalar ``sufficient_value``, and
-    the witness carries that value; a point that does not beat
-    ``-STRICT_DRIFT`` there is never returned.  Deterministic; ``None`` (no
-    witness) is a valid outcome, not an error.
+    uniform in ``theta`` over ``[0, -log(Z_FLOOR)]``, and the first grid
+    point holding it in row-major order, exactly as ``np.argmin`` over the
+    whole grid would.  It gets there by branch and bound: a lower bound per
+    ``BLOCK`` x ``BLOCK`` block ranks the blocks, which are evaluated
+    ``CHUNK`` at a time until every block left has a bound above the
+    running minimum.  The best grid point is polished by ``ZOOM_LEVELS``
+    finer ``ZOOM_N`` x ``ZOOM_N`` grids, each spanning one spacing of the
+    last around its best point.  The chosen ``theta`` is then re-evaluated
+    with the scalar ``sufficient_value``, and the witness carries that
+    value; a point that does not beat ``-STRICT_DRIFT`` there is never
+    returned.  Deterministic; ``None`` (no witness) is a valid outcome, not
+    an error.
     """
-    return _searcher(params)(params, validate_mode_probs(probs))
+    return _Searcher(params)([params.eta], validate_mode_probs(probs))[0]
 
 
 def stability_verdict(params: NetworkParams, probs) -> StabilityVerdict:
@@ -338,17 +429,20 @@ def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     search only approximates the minimum over ``theta``: a non-monotone
     pattern on the coarse demand grid raises, and inside the last bracket the
     search is trusted.  ``lower_witness`` is the witness found at ``lower``
-    itself; it also certifies every smaller demand.
+    itself; it also certifies every smaller demand.  The ``PRE_GRID`` demands
+    that ``_bisect_predicate`` probes first are searched as one batch (one
+    ``zoom_min`` call with a batch axis), with the same witnesses as one
+    search each; the bisection steps after them search one demand at a time.
     """
     p = validate_mode_probs(probs)
-    search = _searcher(params)
-    witnesses: dict[float, ThetaWitness] = {}
+    search = _Searcher(params)
+    pre_grid = np.linspace(0.0, 1.0, PRE_GRID).tolist()  # the demands _bisect_predicate probes first
+    witnesses = dict(zip(pre_grid, search(pre_grid, p)))
 
     def stable_at(eta: float) -> bool:
-        w = search(replace(params, eta=eta), p)
-        if w is not None:
-            witnesses[eta] = w
-        return w is not None
+        if eta not in witnesses:
+            witnesses[eta] = search([eta], p)[0]
+        return witnesses[eta] is not None
 
     lower, _ = _bisect_predicate(stable_at, BISECT_TOL, "sufficient")
     upper = _necessary_upper(params, p, BISECT_TOL)

@@ -95,6 +95,32 @@ class TestConfigErrors:
         code, _, _ = run(capsys, ["--config", str(cfg), "check"])
         assert code == 1
 
+    @pytest.mark.parametrize("key, value", [("eta", float("nan")), ("beta", float("inf")), ("F1", float("nan"))])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, key, value):
+        # json writes these as NaN / Infinity and reads them back as floats
+        cfg = write_config(tmp_path, **{key: value})
+        code, out, err = run(capsys, ["--config", str(cfg), "check"])
+        assert code == 1
+        assert out == ""
+        assert f"error: {key} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "sim, key",
+        [
+            ({"horizon": 5, "seed": None}, "seed"),
+            ({"horizon": 5, "x0": [1]}, "x0"),
+            ({"horizon": 5, "x0": 1.5}, "x0"),
+            ({"horizon": 5, "x0": [1, None]}, "x0"),
+            ({"step": 0.1}, "horizon"),
+        ],
+    )
+    def test_wrong_shaped_sim_value_exits_one(self, tmp_path, capsys, sim, key):
+        cfg = write_config(tmp_path, sim=sim)
+        code, _, err = run(capsys, ["--config", str(cfg), "simulate"])
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"'{key}'" in err
+
 
 class TestChainInputs:
     def test_rates_chain(self, tmp_path, capsys):

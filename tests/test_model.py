@@ -52,6 +52,14 @@ class TestNetworkParams:
         with pytest.raises(ParameterError):
             NetworkParams(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["F1", "F2", "beta", "eta"])
+    def test_non_finite_fields_rejected(self, field, bad):
+        kwargs = dict(F1=0.5, F2=0.5, beta=1.0, eta=0.5)
+        kwargs[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            NetworkParams(**kwargs)
+
     def test_degenerate_capacity_split_allowed(self):
         NetworkParams(F1=1.0, F2=0.0, beta=2.0, eta=0.0)
 

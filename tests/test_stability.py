@@ -1,6 +1,7 @@
 """Congestion floors, the two stability tests, bounds, and the certificate."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from faultroute import (
     ErgodicityError,
     MonotonicityError,
     NetworkParams,
+    NumericsError,
     ParameterError,
     congestion_floors,
     flow,
@@ -30,7 +32,24 @@ from faultroute import (
     validate_mode_probs,
     vector_field,
 )
-from faultroute.stability import STRICT_DRIFT, _bisect_predicate, _excess_rates
+from faultroute.model import drift_field
+from faultroute.stability import (
+    BISECT_TOL,
+    GRID_N,
+    STRICT_DRIFT,
+    Z_FLOOR,
+    ZOOM_LEVELS,
+    ZOOM_N,
+    ThetaWitness,
+    ThroughputBounds,
+    _bisect_predicate,
+    _drift_value,
+    _excess_rates,
+    _necessary,
+    _necessary_upper,
+    _Searcher,
+    zoom_min,
+)
 
 UNIFORM = np.full(4, 0.25)
 
@@ -495,3 +514,156 @@ class TestCertificateMatchesScalarLoop:
             assert np.array_equal(cert.a, a)
             assert cert.c == c
             assert cert.d == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
+# The coarse search grid, and the search as it was before pruning and batching:
+# the oracle of the tests below, kept only here.
+GRID = -np.log(np.logspace(math.log10(Z_FLOOR), 0.0, GRID_N))
+
+
+def single_zoom_min(values, center, step, lo, hi):
+    """``zoom_min`` for one center, with ``values`` on a plain open mesh."""
+    center = np.asarray(center, dtype=float)
+    for _ in range(ZOOM_LEVELS):
+        axes = [np.clip(np.linspace(c - step, c + step, ZOOM_N), lo, hi) for c in center]
+        v = values(*np.ix_(*axes))
+        best = np.unravel_index(int(np.argmin(v)), v.shape)
+        center = np.array([axis[k] for axis, k in zip(axes, best)])
+        step *= 2.0 / (ZOOM_N - 1)
+    return center
+
+
+def full_grid_searcher(params):
+    """One demand per call, ``np.argmin`` over all ``GRID_N ** 2`` coarse points."""
+    coarse = drift_field(params, GRID[:, None], GRID[None, :])
+    step = GRID[0] / (GRID_N - 1)
+
+    def search(params, p):
+        eta = params.eta
+        values = coarse.averaged(eta, p)
+        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+        t1, t2 = single_zoom_min(
+            lambda a, b: drift_field(params, a, b).averaged(eta, p), (GRID[i], GRID[j]), step, 0.0, GRID[0]
+        )
+        theta = (float(t1), float(t2))
+        drift = _drift_value(params, p, theta)
+        return ThetaWitness(theta, drift) if drift < -STRICT_DRIFT else None
+
+    return search
+
+
+def sequential_bounds(params, probs):
+    """``throughput_bounds`` with every demand searched on its own over the full grid."""
+    p = validate_mode_probs(probs)
+    search = full_grid_searcher(params)
+    witnesses = {}
+
+    def stable_at(eta):
+        w = search(replace(params, eta=eta), p)
+        if w is not None:
+            witnesses[eta] = w
+        return w is not None
+
+    lower, _ = _bisect_predicate(stable_at, BISECT_TOL, "sufficient")
+    upper = _necessary_upper(params, p, BISECT_TOL)
+    violation = _necessary(replace(params, eta=min(1.0, upper + BISECT_TOL)), p).first_violated()
+    if violation is None:
+        violation = _necessary(replace(params, eta=1.0), p).first_violated()
+    if lower > upper:
+        raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
+    return ThroughputBounds(lower, upper, witnesses.get(lower), violation)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MonotonicityError, NumericsError) as exc:
+        return type(exc), str(exc)
+
+
+def mode_probs(seed, zeros):
+    """A Dirichlet draw with the modes in ``zeros`` switched off."""
+    p = dirichlet(seed)
+    p[sorted(zeros)] = 0.0
+    return p / p.sum()
+
+
+seeds = st.integers(0, 2**32 - 1)
+zero_modes = st.sets(st.integers(0, 3), max_size=3)
+
+
+class TestPrunedSearch:
+    """The pruned, batched search returns the full-grid search's answers bit for bit."""
+
+    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.2), seed=seeds, zeros=zero_modes)
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_argmin_is_the_full_grid_argmin(self, F1, beta, eta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = mode_probs(seed, zeros)
+        search = _Searcher(params)
+        full = drift_field(params, GRID[:, None], GRID[None, :])
+        for e in (eta, 0.0, 1.0):
+            i, j = search.coarse_argmin(e, p)
+            assert i * GRID_N + j == int(np.argmin(full.averaged(e, p)))
+
+    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.2), seed=seeds, zeros=zero_modes)
+    @settings(max_examples=200, deadline=None)
+    def test_block_bounds_are_below_every_grid_value(self, F1, beta, eta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = mode_probs(seed, zeros)
+        search = _Searcher(params)
+        values = search.coarse.averaged(eta, p)  # block-major
+        full = drift_field(params, GRID[:, None], GRID[None, :]).averaged(eta, p)
+        assert np.array_equal(values.transpose(0, 2, 1, 3).reshape(GRID_N, GRID_N), full)
+        assert np.all(search.floor.averaged(eta, p)[:, :, None, None] <= values)
+
+    @pytest.mark.parametrize(
+        "params, probs",
+        [
+            (NetworkParams(F1=0.0, F2=1.0, beta=1.0, eta=0.0), UNIFORM),  # every point is 0
+            (NetworkParams(F1=1.0, F2=0.0, beta=2.0, eta=0.7), np.array([0.0, 0.0, 0.0, 1.0])),  # every point is 0.35
+            (NetworkParams(F1=1.0, F2=0.0, beta=1.0, eta=0.6), np.array([0.0, 0.0, 1.0, 0.0])),  # ties on a row
+            (NetworkParams(F1=0.0, F2=1.0, beta=3.0, eta=0.6), np.array([0.0, 1.0, 0.0, 0.0])),  # ties on a column
+        ],
+    )
+    def test_ties_resolve_to_the_first_grid_point(self, params, probs):
+        full = drift_field(params, GRID[:, None], GRID[None, :]).averaged(params.eta, probs)
+        assert np.count_nonzero(full == full.min()) > 1
+        i, j = _Searcher(params).coarse_argmin(params.eta, probs)
+        assert i * GRID_N + j == int(np.argmin(full))
+
+    @given(
+        F1=capacities,
+        beta=betas,
+        seed=seeds,
+        lanes=st.lists(
+            st.tuples(st.floats(0.0, 1.2), st.integers(0, GRID_N - 1), st.integers(0, GRID_N - 1)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batched_zoom_equals_single_zooms(self, F1, beta, seed, lanes):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
+        p = dirichlet(seed)
+        etas = [eta for eta, _, _ in lanes]
+        centers = [(GRID[i], GRID[j]) for _, i, j in lanes]
+        step = GRID[0] / (GRID_N - 1)
+
+        def field(eta):
+            return lambda a, b: drift_field(params, a, b).averaged(eta, p)
+
+        batch = zoom_min(field(np.array(etas)[:, None, None]), centers, step, 0.0, GRID[0])
+        assert batch.shape == (len(lanes), 2)
+        for k, (eta, center) in enumerate(zip(etas, centers)):
+            alone = zoom_min(field(np.array([[[eta]]])), [center], step, 0.0, GRID[0])
+            assert np.array_equal(batch[k : k + 1], alone)
+            assert np.array_equal(batch[k], single_zoom_min(field(eta), center, step, 0.0, GRID[0]))
+
+    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.2), seed=seeds, zeros=zero_modes)
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_and_search_equal_the_sequential_full_grid_versions(self, F1, beta, eta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = mode_probs(seed, zeros)
+        assert outcome(throughput_bounds, params, p) == outcome(sequential_bounds, params, p)
+        assert sufficient_search(params, p) == full_grid_searcher(params)(params, p)
