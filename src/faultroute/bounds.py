@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, WitnessError
-from .model import NetworkParams, validate_mode_probs
-from .stability import STRICT_DRIFT, Z_FLOOR, ThetaWitness, _drift_value, sufficient_search, sufficient_value, zoom_min
+from .model import NetworkParams, drift_field, validate_mode_probs
+from .stability import STRICT_DRIFT, Z_FLOOR, ThetaWitness, sufficient_search, sufficient_value, zoom_min
 
 PROB_TOL = 1e-12
 
@@ -238,28 +238,37 @@ def g_monotonicity_check(gp: GPolynomial, grid: int = 10_000) -> GMonotonicityRe
     )
 
 
+def _family_drift(params: NetworkParams, p: np.ndarray, y_of_z, t: np.ndarray) -> np.ndarray:
+    """Averaged drift on the ``drift_field`` kernel at ``theta = (-log y(z), t)``, ``z = e^-t``.
+
+    ``y`` is clipped to ``[Z_FLOOR, 1]``, so every ``theta`` lies in the
+    search box; ``y_of_z`` must accept arrays, and ``t`` may have any shape.
+    """
+    y = np.clip(y_of_z(np.exp(-t)), Z_FLOOR, 1.0)
+    return drift_field(params, -np.log(y), t).averaged(params.eta, p)
+
+
 def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_lo: float, z_hi: float, n: int = 400):
     """Minimize the averaged drift along a one-parameter (y(z), z) family.
 
-    Every candidate is evaluated on the scalar path: the ``n`` log-spaced
-    values of ``z`` first, then ``zoom_min`` refines the best one in
-    ``t = -log z``.  The returned value is ``sufficient_value`` there.
+    The ``n`` log-spaced values of ``z`` are scored in one ``_family_drift``
+    call, and ``zoom_min`` refines the best one in ``t = -log z``, one call
+    per refinement grid.  Returns the chosen ``theta`` as Python floats,
+    computed on the scalar path; the caller re-checks it with
+    ``sufficient_value``.
     """
     z_lo = max(z_lo, Z_FLOOR)
     z_hi = max(min(z_hi, 1.0), z_lo)
 
-    def theta(t: float) -> tuple[float, float]:
-        y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
-        return -math.log(y), t
-
     def values(ts: np.ndarray) -> np.ndarray:
-        return np.array([_drift_value(params, p, theta(t)) for t in ts.ravel().tolist()]).reshape(ts.shape)
+        return _family_drift(params, p, y_of_z, ts)
 
     ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
     t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
     best = float(ts[int(np.argmin(values(ts)))])
     t = float(zoom_min(values, [[best]], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0, 0])
-    return theta(t), sufficient_value(params, p, theta(t))
+    y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
+    return -math.log(y), t
 
 
 def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> ThetaWitness:
@@ -270,9 +279,11 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     slower link to dominate every mode's max) and search along ``z``;
     otherwise fix the routing-asymmetry ratio just under ``gap/eta`` and
     search along ``z`` inside the window where the gap constraints hold.
-    Every candidate is verified by direct evaluation and must beat
-    ``-STRICT_DRIFT``; if the construction misses, the generic
-    two-dimensional search is the fallback.
+    Each sweep scores its candidates on the ``drift_field`` kernel; every
+    candidate ``theta`` is then re-checked with ``sufficient_value`` on the
+    caller's ``probs`` and must beat ``-STRICT_DRIFT``, and the witness
+    carries that value.  If the construction misses, the generic
+    two-dimensional ``sufficient_search`` is the fallback.
     """
     p = validate_mode_probs(probs)
     if abs(p[1] - p[2]) > 1e-9:
@@ -287,32 +298,32 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     if eta >= bound:
         raise ParameterError(f"demand {eta} is not below the certified bound {bound}")
 
-    candidates: list[tuple[tuple[float, float], float]] = []
+    thetas: list[tuple[float, float]] = []
     if eta == 0.0:
-        theta = (1e-6, 1e-6)
-        candidates.append((theta, sufficient_value(params, p, theta)))
+        thetas.append((1e-6, 1e-6))
     elif eta < dF:
         # slower link dominates each mode's max for every z at this y
         y_cap = 1.0 - (eta + params.F2) / params.F1
-        candidates.append(_sweep_z(params, p, lambda z: y_cap, Z_FLOOR, 1.0))
+        thetas.append(_sweep_z(params, p, lambda z: y_cap, Z_FLOOR, 1.0))
     else:
         rho = 0.99 * min(1.0, dF / eta)
         m = ((1.0 + rho) / (1.0 - rho)) ** (1.0 / params.beta)
         if dF == 0.0:
-            candidates.append(_sweep_z(params, p, lambda z: z, Z_FLOOR, 1.0))
+            thetas.append(_sweep_z(params, p, lambda z: z, Z_FLOOR, 1.0))
         else:
             denom = m * params.F1 - params.F2
             z_lo = (1.0 - rho) * dF / denom
             z_hi = min(dF / denom, 1.0 / m)
             if z_lo <= z_hi:
-                candidates.append(_sweep_z(params, p, lambda z: m * z, z_lo, z_hi))
-            candidates.append(_sweep_z(params, p, lambda z: m * z, Z_FLOOR, 1.0 / m))
+                thetas.append(_sweep_z(params, p, lambda z: m * z, z_lo, z_hi))
+            thetas.append(_sweep_z(params, p, lambda z: m * z, Z_FLOOR, 1.0 / m))
 
+    candidates = [(theta, sufficient_value(params, probs, theta)) for theta in thetas]
     for theta, value in candidates:
         if value < -STRICT_DRIFT:
             return ThetaWitness(theta, value)
 
-    fallback = sufficient_search(params, p)
+    fallback = sufficient_search(params, probs)
     if fallback is not None:
         return fallback
     best = min(candidates, key=lambda t: t[1]) if candidates else None

@@ -94,11 +94,14 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    """Build a validated experiment from a raw config mapping."""
+    """Build a validated experiment from a raw config mapping.
+
+    A value of the wrong shape raises ``ParameterError`` naming its key.
+    """
+    if not isinstance(raw, dict):
+        raise ParameterError(f"config must be a JSON object, got {type(raw).__name__}")
     try:
-        params = NetworkParams(
-            F1=float(raw["F1"]), F2=float(raw["F2"]), beta=float(raw["beta"]), eta=float(raw["eta"])
-        )
+        params = NetworkParams(**{k: _float(raw[k], k) for k in ("F1", "F2", "beta", "eta")})
     except KeyError as exc:
         raise ParameterError(f"config is missing required key {exc}") from exc
 
@@ -114,7 +117,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         probs = stationary_distribution(rates)
     elif kind == "failure":
         fm = raw["failure"]
-        failure = FailureModel(float(fm["p"]), float(fm.get("rho", 0.0)))
+        if not isinstance(fm, dict) or "p" not in fm:
+            raise ParameterError(f"config key 'failure' must be an object with a 'p' entry, got {fm!r}")
+        failure = FailureModel(_float(fm["p"], "failure.p"), _float(fm.get("rho", 0.0), "failure.rho"))
         probs = failure.mode_probs()
         rates = rates_from_probs(probs)
     else:
@@ -123,12 +128,26 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 
     sim = None
     if "sim" in raw:
+        if not isinstance(raw["sim"], dict):
+            raise ParameterError(f"config key 'sim' must be an object, got {raw['sim']!r}")
         s = dict(raw["sim"])
         if seed_override is not None:
             s["seed"] = seed_override
         sim = _sim_config(s)
-    eta_grid = [float(e) for e in raw["eta_grid"]] if "eta_grid" in raw else None
+    eta_grid = None
+    if "eta_grid" in raw:
+        if not isinstance(raw["eta_grid"], list):
+            raise ParameterError(f"config key 'eta_grid' must be a list of numbers, got {raw['eta_grid']!r}")
+        eta_grid = [_float(e, "eta_grid") for e in raw["eta_grid"]]
     return ExperimentConfig(params, kind, rates, probs, failure, sim, eta_grid)
+
+
+def _float(value, key: str) -> float:
+    """``float(value)``, or ``ParameterError`` naming the config ``key``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"config key '{key}' has a bad value {value!r}: {exc}") from exc
 
 
 def _sim_config(raw: dict) -> SimConfig:

@@ -32,6 +32,7 @@ MODES = (1, 2, 3, 4)
 
 CAPACITY_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
+NORMALIZED_TOL = 4.0 * np.finfo(float).eps  # bounds |sum(x / sum(x)) - 1| for 4 entries
 BALANCE_TOL = 1e-10
 
 
@@ -268,12 +269,19 @@ def stationary_distribution(rates) -> np.ndarray:
 
 
 def validate_mode_probs(probs, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    """Check 4 mode probabilities (nonnegative, summing to 1 within ``tol``)."""
+    """Check 4 mode probabilities (nonnegative, summing to 1 within ``tol``).
+
+    Returns them divided by their sum, unless the sum is already within
+    ``NORMALIZED_TOL`` of 1: such a vector, any output of this function
+    included, is returned as is, so validating twice gives the same bits
+    as validating once.
+    """
     p = np.asarray(probs, dtype=float)
     if p.shape != (4,):
         raise ParameterError(f"mode distribution must have 4 entries, got shape {p.shape}")
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise ParameterError(f"mode probabilities must be finite and nonnegative: {p}")
-    if abs(p.sum() - 1.0) > tol:
-        raise ParameterError(f"mode probabilities must sum to 1 within {tol:.0e}, got {p.sum()!r}")
-    return p / p.sum()
+    total = p.sum()
+    if abs(total - 1.0) > tol:
+        raise ParameterError(f"mode probabilities must sum to 1 within {tol:.0e}, got {total!r}")
+    return p if abs(total - 1.0) <= NORMALIZED_TOL else p / total

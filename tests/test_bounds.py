@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultroute import (
@@ -29,7 +29,9 @@ from faultroute import (
     stationary_distribution,
     sufficient_value,
 )
-from faultroute.stability import STRICT_DRIFT
+from faultroute.bounds import _family_drift, _sweep_z
+from faultroute.model import validate_mode_probs
+from faultroute.stability import STRICT_DRIFT, Z_FLOOR, _drift_value, zoom_min
 
 UNIFORM = np.full(4, 0.25)
 
@@ -298,6 +300,92 @@ class TestHeteroWitness:
             assert w.drift < -STRICT_DRIFT
             assert sufficient_value(params, probs, w.theta) <= 0.0
 
+    def test_drift_is_the_callers_own_check(self):
+        # the witness's drift is sufficient_value on the probabilities as
+        # passed, not on a copy normalized a second time
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            p1, p23, p4 = rng.dirichlet(np.ones(3))
+            probs = np.array([p1, 0.5 * p23, 0.5 * p23, p4])
+            dF = rng.random()
+            bound = hetero_lower_bound(dF, p1, 0.5 * p23)
+            eta = rng.random() * bound
+            params = NetworkParams((1.0 + dF) / 2.0, (1.0 - dF) / 2.0, 10.0 ** rng.uniform(-1.0, 2.0), eta)
+            w = hetero_witness(params, probs)
+            assert w.drift < -STRICT_DRIFT
+            assert w.drift == sufficient_value(params, probs, w.theta)
+
+
+def scalar_sweep_z(params, p, y_of_z, z_lo, z_hi, n=400):
+    """The point-by-point scalar sweep that ``_sweep_z`` replaced, kept as its oracle.
+
+    Returns the chosen theta, its scalar drift, and the ``n`` first-pass
+    ``t = -log z`` with their scalar drifts.
+    """
+    z_lo = max(z_lo, Z_FLOOR)
+    z_hi = max(min(z_hi, 1.0), z_lo)
+
+    def theta(t):
+        y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
+        return -math.log(y), t
+
+    def values(ts):
+        return np.array([_drift_value(params, p, theta(t)) for t in ts.ravel().tolist()]).reshape(ts.shape)
+
+    ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
+    t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
+    first = values(ts)
+    best = float(ts[int(np.argmin(first))])
+    t = float(zoom_min(values, [[best]], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0, 0])
+    return theta(t), _drift_value(params, p, theta(t)), ts, first
+
+
+@st.composite
+def sweep_cases(draw):
+    """A network, symmetric mode probabilities and one of ``hetero_witness``'s (y(z), window) sweeps."""
+    F1 = draw(st.floats(0.5, 1.0))
+    F2 = 1.0 - F1
+    dF = F1 - F2
+    beta = 10.0 ** draw(st.floats(-3.0, math.log10(500.0)))
+    a, b, c = (draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))) for _ in range(3))
+    assume(a + b + c > 0.0)
+    p = validate_mode_probs(np.array([a, b, b, c]) / (a + 2.0 * b + c))
+    family = draw(st.sampled_from(("capped", "equal", "ratio", "ratio-window")))
+    if family == "capped":  # demand below the gap; y_cap down to 1e-12 exercises the clip at Z_FLOOR
+        assume(dF > 0.0)
+        eta = (1.0 - 10.0 ** draw(st.floats(-12.0, 0.0))) * dF
+        y_cap = 1.0 - (eta + F2) / F1
+        sweep = (lambda z: y_cap, Z_FLOOR, 1.0)
+    elif family == "equal":
+        eta = draw(st.floats(0.0, 1.0))
+        sweep = (lambda z: z, Z_FLOOR, 1.0)
+    else:  # demand above the gap: y = m z
+        eta = dF + draw(st.floats(0.0, 1.0)) * (1.0 - dF)
+        assume(eta > 0.0)
+        rho = 0.99 * min(1.0, dF / eta)
+        m = math.exp(min(math.log((1.0 + rho) / (1.0 - rho)) / beta, 50.0))
+        if family == "ratio":
+            sweep = (lambda z: m * z, Z_FLOOR, 1.0 / m)
+        else:
+            assume(dF > 0.0)
+            denom = m * F1 - F2
+            sweep = (lambda z: m * z, (1.0 - rho) * dF / denom, min(dF / denom, 1.0 / m))
+    return NetworkParams(F1, F2, beta, eta), p, *sweep
+
+
+class TestKernelSweep:
+    @given(case=sweep_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_scalar_sweep(self, case):
+        params, p, y_of_z, z_lo, z_hi = case
+        theta_ref, drift_ref, ts, first_ref = scalar_sweep_z(params, p, y_of_z, z_lo, z_hi)
+        np.testing.assert_allclose(_family_drift(params, p, y_of_z, ts), first_ref, rtol=0.0, atol=1e-12)
+        theta = _sweep_z(params, p, y_of_z, z_lo, z_hi)
+        assert all(type(v) is float for v in theta)
+        drift = _drift_value(params, p, theta)
+        assert abs(drift - drift_ref) <= 1e-12, (theta, theta_ref)
+        if drift_ref < -STRICT_DRIFT - 1e-12:
+            assert drift < -STRICT_DRIFT  # no witness is lost
 
 class TestCurveEmitters:
     def test_failure_rate_curve_shape(self):

@@ -8,15 +8,12 @@ import pytest
 from faultroute.cli import load_config, main, parse_config
 
 
+NETWORK = {"F1": 0.5, "F2": 0.5, "beta": 1.0, "eta": 0.5}
+UNIFORM_CHAIN = {"probs": [0.25, 0.25, 0.25, 0.25]}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
-    cfg = {
-        "F1": 0.5,
-        "F2": 0.5,
-        "beta": 1.0,
-        "eta": 0.5,
-        "probs": [0.25, 0.25, 0.25, 0.25],
-    }
-    cfg.update(overrides)
+    cfg = {**NETWORK, **UNIFORM_CHAIN, **overrides}
     for key, value in list(cfg.items()):
         if value is None:
             del cfg[key]
@@ -120,6 +117,27 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({**NETWORK, **UNIFORM_CHAIN, "eta_grid": 5}, "'eta_grid'"),
+            ({**NETWORK, **UNIFORM_CHAIN, "eta_grid": [0.1, None]}, "'eta_grid'"),
+            ({**NETWORK, "failure": 5}, "'failure'"),
+            ({**NETWORK, "failure": {"p": None}}, "'failure.p'"),
+            ({**NETWORK, **UNIFORM_CHAIN, "F1": None}, "'F1'"),
+            ("hello", "JSON object"),
+            ([1, 2], "JSON object"),
+        ],
+    )
+    def test_wrong_shaped_config_value_exits_one(self, tmp_path, capsys, raw, named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, ["--config", str(cfg), "scan"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert named in err
 
 
 class TestChainInputs:

@@ -280,6 +280,12 @@ class TestModeProbs:
         p = validate_mode_probs([0.25, 0.25, 0.25, 0.25 + 5e-10])
         assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1.0 - 1e-10, 1.0 + 1e-10))
+    @settings(max_examples=300)
+    def test_validating_twice_equals_once(self, seed, scale):
+        once = validate_mode_probs(dirichlet(seed) * scale)
+        assert np.array_equal(validate_mode_probs(once), once)
+
     def test_bad_sum_rejected(self):
         with pytest.raises(ParameterError):
             validate_mode_probs([0.3, 0.3, 0.3, 0.3])
