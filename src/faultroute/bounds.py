@@ -266,7 +266,7 @@ def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_lo: float, z_hi: fl
     ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
     t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
     best = float(ts[int(np.argmin(values(ts)))])
-    t = float(zoom_min(values, [[best]], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0, 0])
+    t = float(zoom_min(values, [best], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0])
     y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
     return -math.log(y), t
 
@@ -307,7 +307,9 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
         thetas.append(_sweep_z(params, p, lambda z: y_cap, Z_FLOOR, 1.0))
     else:
         rho = 0.99 * min(1.0, dF / eta)
-        m = ((1.0 + rho) / (1.0 - rho)) ** (1.0 / params.beta)
+        ratio = (1.0 + rho) / (1.0 - rho)
+        # from log m = 700 on, every y = m z clips to 1 as it would for m = inf, and the power may overflow
+        m = ratio ** (1.0 / params.beta) if math.log(ratio) < 700.0 * params.beta else math.inf
         if dF == 0.0:
             thetas.append(_sweep_z(params, p, lambda z: z, Z_FLOOR, 1.0))
         else:

@@ -18,7 +18,7 @@ class CertificateError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """A bisection predicate flipped more than once over the probed grid."""
+    """The necessary test flipped more than once over the demands its bisection probes first."""
 
     def __init__(self, message: str, eta_pair: tuple[float, float]):
         super().__init__(message)

@@ -21,6 +21,7 @@ Throughout the package, length-4 arrays are indexed 0..3 for modes 1..4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,6 +178,24 @@ class DriftField:
         for s in (1, 2, 3):
             total += np.multiply(self._worst(eta, s, buf), p[s], out=buf)
         return total
+
+    def critical_demand(self, p, margin: float) -> np.ndarray:
+        """Largest demand in [0, 1] at which ``averaged`` is at most ``-margin``; ``-inf`` where none is.
+
+        Each choice of worst link in modes 1-3 gives a line ``eta * A - B``,
+        and the drift is the largest of the eight.  So the answer is the
+        least ``(B - margin) / A`` (``0 / 0``, a flat line at ``-margin``, is
+        NaN and skipped by ``fmin``).  Every step is ``* p_s >= 0``, ``+``,
+        ``/`` of a nonnegative numerator or ``min``; rounded to nearest, each
+        is monotone, so smaller shares and larger outflows never lower it.
+        """
+        lines = [(0.5 * p[3], p[3] * self.fmin - margin)]
+        for (mu1, mu2), ps in zip(self.shares, p[:3]):
+            terms = ((ps * mu1, ps * self.f1), (ps * mu2, ps * self.f2))
+            lines = [(a + da, b + db) for a, b in lines for da, db in terms]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            eta = functools.reduce(np.fmin, (b / a for a, b in lines), 1.0)
+        return np.where(eta < 0.0, -np.inf, eta)  # some line is above -margin at zero demand
 
     def _worst(self, eta: float, s: int, out=None) -> np.ndarray:
         """Worst-link drift of mode ``s + 1``, written to ``out`` if given."""

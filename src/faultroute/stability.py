@@ -42,7 +42,7 @@ CHUNK = 64  # blocks evaluated per pass of the pruned coarse search
 ZOOM_N = 17  # points per axis of each refinement grid
 ZOOM_LEVELS = 5  # refinement grids, each (ZOOM_N - 1) / 2 times finer than the last
 BISECT_TOL = 1e-4
-PRE_GRID = 11  # demands probed on [0, 1] before bisecting
+PRE_GRID = 11  # demands the necessary bisection probes on [0, 1] first
 CERT_GRID_N = 65  # certificate sampling grid points per axis
 CERT_MARGIN = 1.1  # safety factor on the sampled certificate constant d
 
@@ -219,43 +219,32 @@ def _drift_value(params: NetworkParams, p: np.ndarray, theta: tuple[float, float
     return total
 
 
-def zoom_min(values, centers, step: float, lo: float, hi: float) -> np.ndarray:
-    """Refine grid minima of ``values`` around each of the points ``centers``.
+def zoom_min(values, center, step: float, lo: float, hi: float) -> np.ndarray:
+    """Refine a grid minimum of ``values`` around ``center``, a point in ``d`` coordinates.
 
-    ``centers`` has shape ``(m, d)``: ``m`` independent searches in ``d``
-    coordinates.  Each of ``ZOOM_LEVELS`` levels lays ``ZOOM_N`` points per
-    coordinate over ``center +- step``, clipped to ``[lo, hi]``, moves each
-    center to the first best point of its grid and shrinks ``step`` to the
-    grid's spacing.  ``values`` takes one open-mesh array per coordinate,
-    each with a leading batch axis of length ``m``, and returns the
-    ``(m, ZOOM_N, ..., ZOOM_N)`` grid values.  Returns the refined ``(m, d)``
-    centers.  Each search comes out bit for bit as it would alone unless
-    ``((center + step) - (center - step)) / (ZOOM_N - 1)`` rounds to 0 in
-    some coordinate: only then does ``linspace`` with array endpoints
-    switch every element to another formula.
+    Each of ``ZOOM_LEVELS`` levels lays ``ZOOM_N`` points per coordinate over
+    ``center +- step``, clipped to ``[lo, hi]``, moves the center to the
+    first best point of that grid and shrinks ``step`` to the grid's spacing.
+    ``values`` takes one open-mesh array per coordinate (as from ``np.ix_``)
+    and returns the ``(ZOOM_N,) * d`` grid values.
     """
-    centers = np.array(centers, dtype=float)
-    m, d = centers.shape
-    lanes = np.arange(m)[:, None], np.arange(d)
     for _ in range(ZOOM_LEVELS):
-        axes = np.clip(np.linspace(centers - step, centers + step, ZOOM_N), lo, hi)  # (ZOOM_N, m, d)
-        mesh = [axes[:, :, k].T.reshape((m,) + (1,) * k + (ZOOM_N,) + (1,) * (d - 1 - k)) for k in range(d)]
-        best = np.unravel_index(np.argmin(values(*mesh).reshape(m, -1), axis=1), (ZOOM_N,) * d)
-        centers = axes[(np.array(best).T, *lanes)]
+        axes = [np.clip(np.linspace(c - step, c + step, ZOOM_N), lo, hi) for c in center]
+        v = values(*np.ix_(*axes))
+        best = np.unravel_index(int(np.argmin(v)), v.shape)
+        center = np.array([axis[k] for axis, k in zip(axes, best)])
         step *= 2.0 / (ZOOM_N - 1)
-    return centers
+    return center
 
 
 def _block_bounds(field: DriftField) -> DriftField:
-    """Per-block field that bounds every point's averaged drift from below.
+    """Per-block field whose critical demand bounds every point's from above.
 
-    ``field`` is block-major, ``[bi, bj, i, j]``.  The shares are minimized
-    and the outflows maximized over each block.  ``averaged`` uses only
-    ``eta * mu``, ``-``, ``max``, ``* p_s`` and ``+`` with ``eta, p_s >= 0``.
-    Rounded to nearest, each of these is monotone in each input, so the
-    computed bound of a block is ``<=`` every computed value in it: a proof,
-    not an estimate, as long as no value is NaN (``NetworkParams`` admits
-    only finite fields).
+    ``field`` is block-major, ``[bi, bj, i, j]``.  Shares are minimized and
+    outflows maximized over each block, and ``critical_demand`` is monotone
+    in both in rounded arithmetic, so a block's computed bound is ``>=``
+    every computed value in it: a proof, not an estimate, as long as no
+    value is NaN (``NetworkParams`` admits only finite fields).
     """
     inner = (2, 3)
     return DriftField(
@@ -281,12 +270,12 @@ def _take_blocks(field: DriftField, bi: np.ndarray, bj: np.ndarray) -> DriftFiel
 
 
 class _Searcher:
-    """Witness search for ``params``'s capacities and ``beta`` at any demands.
+    """The largest critical demand over ``theta`` for ``params``'s capacities and ``beta``.
 
     The coarse drift field does not depend on the demand, so it is built
     once here, block-major in ``BLOCK`` x ``BLOCK`` blocks (``[bi, bj, i, j]``
-    is grid point ``(BLOCK * bi + i, BLOCK * bj + j)``), and shared by every
-    call.  No state carries over from one call to the next.
+    is grid point ``(BLOCK * bi + i, BLOCK * bj + j)``).  No state carries
+    over from one call to the next.
     """
 
     def __init__(self, params: NetworkParams):
@@ -296,30 +285,34 @@ class _Searcher:
         self.coarse = drift_field(params, tb[:, None, :, None], tb[None, :, None, :])
         self.floor = _block_bounds(self.coarse)
 
-    def coarse_argmin(self, eta: float, p: np.ndarray) -> tuple[int, int]:
-        """``np.argmin`` of the averaged drift over the whole grid, by branch and bound.
+    def coarse_argmin(self, p: np.ndarray) -> tuple[int, int]:
+        """``np.argmin`` of minus the critical demand over the whole grid, by branch and bound.
 
         Blocks are evaluated ``CHUNK`` at a time in order of their bound until
         every block left is bounded above the running minimum; blocks whose
         bound equals it are evaluated, so ties survive and the first grid
-        point in row-major order that holds the minimum is returned.
+        point in row-major order that holds the minimum is returned.  While
+        nothing finite is seen, blocks bounded at ``+inf`` (which hold only
+        ``+inf``) are skipped; if every point is ``+inf``, that is ``(0, 0)``.
         """
         nb = GRID_N // BLOCK
-        bound = self.floor.averaged(eta, p).ravel()
+        bound = -self.floor.critical_demand(p, STRICT_DRIFT).ravel()
         order = np.argsort(bound)
         ranked = bound[order]
         best = math.inf
         seen = []
         done = 0
         while True:
-            stop = min(done + CHUNK, int(np.searchsorted(ranked, best, side="right")))
+            stop = min(done + CHUNK, int(np.searchsorted(ranked, best, side="right" if best < math.inf else "left")))
             if stop <= done:
                 break
             ks = order[done:stop]
-            values = _take_blocks(self.coarse, ks // nb, ks % nb).averaged(eta, p)
+            values = -_take_blocks(self.coarse, ks // nb, ks % nb).critical_demand(p, STRICT_DRIFT)
             best = min(best, float(values.min()))
             seen.append((ks, values))
             done = stop
+        if best == math.inf:
+            return 0, 0
         first = GRID_N * GRID_N
         for ks, values in seen:
             n, i, j = np.nonzero(values == best)
@@ -328,44 +321,46 @@ class _Searcher:
                 first = min(first, int(flat.min()))
         return divmod(first, GRID_N)
 
-    def __call__(self, etas: list[float], p: np.ndarray) -> list[ThetaWitness | None]:
-        """One witness or ``None`` per demand in ``etas`` (``p`` already validated)."""
+    def __call__(self, p: np.ndarray) -> tuple[float, ThetaWitness | None]:
+        """``(lower, witness)``: the largest re-checked critical demand and its witness (``p`` validated).
+
+        The scalar ``_drift_value`` at the refined ``theta`` must beat
+        ``-STRICT_DRIFT`` at ``lower``; until it does, the demand steps down by
+        single floats, then by doubling steps.  If none passes: ``(0.0, None)``.
+        """
         params, thetas = self.params, self.thetas
-        centers = [(thetas[i], thetas[j]) for i, j in (self.coarse_argmin(eta, p) for eta in etas)]
-        eta_col = np.array(etas, dtype=float)[:, None, None]
-        refined = zoom_min(
-            lambda a, b: drift_field(params, a, b).averaged(eta_col, p),
-            centers,
-            thetas[0] / (GRID_N - 1),  # the grid is uniform in theta
-            0.0,
-            thetas[0],
-        )
-        out = []
-        for eta, (t1, t2) in zip(etas, refined.tolist()):
+
+        def minus_critical(a, b):
+            return -drift_field(params, a, b).critical_demand(p, STRICT_DRIFT)
+
+        i, j = self.coarse_argmin(p)
+        step = thetas[0] / (GRID_N - 1)  # the grid is uniform in theta
+        t1, t2 = zoom_min(minus_critical, (thetas[i], thetas[j]), step, 0.0, thetas[0]).tolist()
+        eta = -float(minus_critical(t1, t2))
+        for k in range(64):  # by k = 63 a doubling step exceeds any demand in [0, 1]
+            if not eta >= 0.0:
+                break
             drift = _drift_value(replace(params, eta=eta), p, (t1, t2))
-            out.append(ThetaWitness((t1, t2), drift) if drift < -STRICT_DRIFT else None)
-        return out
+            if drift < -STRICT_DRIFT:
+                return eta, ThetaWitness((t1, t2), drift)
+            eta = math.nextafter(eta, -math.inf) if k < 4 else eta - math.ulp(eta) * 2.0 ** (k - 3)
+        return 0.0, None
 
 
 def sufficient_search(params: NetworkParams, probs) -> ThetaWitness | None:
     """Search for a threshold pair with strictly negative averaged drift.
 
-    Finds the minimum of the drift field on the ``GRID_N`` x ``GRID_N`` grid
-    ``theta = -log(logspace(log10(Z_FLOOR), 0, GRID_N))`` per coordinate,
-    uniform in ``theta`` over ``[0, -log(Z_FLOOR)]``, and the first grid
-    point holding it in row-major order, exactly as ``np.argmin`` over the
-    whole grid would.  It gets there by branch and bound: a lower bound per
-    ``BLOCK`` x ``BLOCK`` block ranks the blocks, which are evaluated
-    ``CHUNK`` at a time until every block left has a bound above the
-    running minimum.  The best grid point is polished by ``ZOOM_LEVELS``
-    finer ``ZOOM_N`` x ``ZOOM_N`` grids, each spanning one spacing of the
-    last around its best point.  The chosen ``theta`` is then re-evaluated
-    with the scalar ``sufficient_value``, and the witness carries that
-    value; a point that does not beat ``-STRICT_DRIFT`` there is never
-    returned.  Deterministic; ``None`` (no witness) is a valid outcome, not
-    an error.
+    Runs the search behind ``throughput_bounds``.  When ``params.eta`` is at
+    most its ``lower``, returns its ``theta`` with the scalar
+    ``sufficient_value`` at ``params.eta``, re-checked below
+    ``-STRICT_DRIFT``.  Otherwise ``None``, a valid outcome, not an error.
     """
-    return _Searcher(params)([params.eta], validate_mode_probs(probs))[0]
+    p = validate_mode_probs(probs)
+    lower, witness = _Searcher(params)(p)
+    if witness is None or params.eta > lower:
+        return None
+    drift = _drift_value(params, p, witness.theta)
+    return ThetaWitness(witness.theta, drift) if drift < -STRICT_DRIFT else None
 
 
 def stability_verdict(params: NetworkParams, probs) -> StabilityVerdict:
@@ -384,13 +379,12 @@ def stability_verdict(params: NetworkParams, probs) -> StabilityVerdict:
     return StabilityVerdict(necessary, False, None, "indeterminate")
 
 
-def _bisect_predicate(predicate, tol: float, label: str):
-    """Bisection for the flip point of a monotone predicate on [0, 1].
+def _bisect_predicate(predicate, tol: float):
+    """Bisection for the flip point of the necessary test's predicate on [0, 1].
 
     Probes ``PRE_GRID`` evenly spaced demands first; any true-after-false
     pattern is reported as a monotonicity violation instead of being
-    silently bisected over.  Returns (largest eta seen true, smallest eta
-    seen false).
+    silently bisected over.  Returns the smallest eta seen false.
     """
     etas = np.linspace(0.0, 1.0, PRE_GRID)
     results = [(float(e), predicate(float(e))) for e in etas]
@@ -399,14 +393,14 @@ def _bisect_predicate(predicate, tol: float, label: str):
         for e, ok in results[first_false + 1 :]:
             if ok:
                 raise MonotonicityError(
-                    f"{label} predicate is non-monotone: true at eta={e} after false at "
+                    f"necessary predicate is non-monotone: true at eta={e} after false at "
                     f"eta={results[first_false][0]}",
                     (results[first_false][0], e),
                 )
     if first_false == 0:
-        return 0.0, 0.0
+        return 0.0
     if first_false is None:
-        return 1.0, 1.0
+        return 1.0
     lo = results[first_false - 1][0]
     hi = results[first_false][0]
     while hi - lo > tol:
@@ -415,36 +409,21 @@ def _bisect_predicate(predicate, tol: float, label: str):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return hi
 
 
 def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     """Bracket the maximal sustainable demand for fixed capacities and faults.
 
-    ``lower`` is the largest demand at which the sufficient search certifies
-    stability, ``upper`` the smallest at which the necessary test fails; the
-    demand stored in ``params`` is ignored.  The necessary predicate is
-    monotone in the demand.  The exact sufficient predicate is too, because
-    the drift at a fixed ``theta`` is nondecreasing in the demand, but the
-    search only approximates the minimum over ``theta``: a non-monotone
-    pattern on the coarse demand grid raises, and inside the last bracket the
-    search is trusted.  ``lower_witness`` is the witness found at ``lower``
-    itself; it also certifies every smaller demand.  The ``PRE_GRID`` demands
-    that ``_bisect_predicate`` probes first are searched as one batch (one
-    ``zoom_min`` call with a batch axis), with the same witnesses as one
-    search each; the bisection steps after them search one demand at a time.
+    ``lower`` is the largest critical demand over the search box, found by
+    one branch-and-bound search (``_Searcher``).  ``lower_witness`` carries
+    the scalar drift at ``lower`` itself, re-checked below ``-STRICT_DRIFT``;
+    it certifies every smaller demand too.  ``upper`` is the smallest demand
+    at which the necessary test fails, bisected to ``BISECT_TOL``.  The
+    demand stored in ``params`` is ignored.
     """
     p = validate_mode_probs(probs)
-    search = _Searcher(params)
-    pre_grid = np.linspace(0.0, 1.0, PRE_GRID).tolist()  # the demands _bisect_predicate probes first
-    witnesses = dict(zip(pre_grid, search(pre_grid, p)))
-
-    def stable_at(eta: float) -> bool:
-        if eta not in witnesses:
-            witnesses[eta] = search([eta], p)[0]
-        return witnesses[eta] is not None
-
-    lower, _ = _bisect_predicate(stable_at, BISECT_TOL, "sufficient")
+    lower, witness = _Searcher(params)(p)
     upper = _necessary_upper(params, p, BISECT_TOL)
 
     violation = _necessary(replace(params, eta=min(1.0, upper + BISECT_TOL)), p).first_violated()
@@ -452,7 +431,7 @@ def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
         violation = _necessary(replace(params, eta=1.0), p).first_violated()
     if lower > upper:
         raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
-    return ThroughputBounds(lower, upper, witnesses.get(lower), violation)
+    return ThroughputBounds(lower, upper, witness, violation)
 
 
 def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL) -> float:
@@ -461,8 +440,7 @@ def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL)
 
 
 def _necessary_upper(params: NetworkParams, p: np.ndarray, tol: float) -> float:
-    _, upper = _bisect_predicate(lambda e: _necessary(replace(params, eta=e), p).holds, tol, "necessary")
-    return upper
+    return _bisect_predicate(lambda e: _necessary(replace(params, eta=e), p).holds, tol)
 
 
 def mode_drift_maxima(params: NetworkParams, theta: tuple[float, float]) -> np.ndarray:

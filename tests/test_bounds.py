@@ -12,6 +12,7 @@ from faultroute import (
     GPolynomial,
     NetworkParams,
     ParameterError,
+    WitnessError,
     capacity_gap_curves,
     correlation_bound,
     correlation_curve,
@@ -315,6 +316,16 @@ class TestHeteroWitness:
             assert w.drift < -STRICT_DRIFT
             assert w.drift == sufficient_value(params, probs, w.theta)
 
+    @pytest.mark.parametrize("beta", [0.0014, 1e-3, 0.0025])
+    def test_tiny_beta_never_overflows(self, beta):
+        # ((1 + rho) / (1 - rho)) ** (1 / beta) overflowed here
+        params = NetworkParams(0.653, 0.347, beta, 0.361)
+        try:
+            w = hetero_witness(params, UNIFORM)
+        except WitnessError:
+            return
+        assert sufficient_value(params, UNIFORM, w.theta) == w.drift < -STRICT_DRIFT
+
 
 def scalar_sweep_z(params, p, y_of_z, z_lo, z_hi, n=400):
     """The point-by-point scalar sweep that ``_sweep_z`` replaced, kept as its oracle.
@@ -336,7 +347,7 @@ def scalar_sweep_z(params, p, y_of_z, z_lo, z_hi, n=400):
     t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
     first = values(ts)
     best = float(ts[int(np.argmin(first))])
-    t = float(zoom_min(values, [[best]], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0, 0])
+    t = float(zoom_min(values, [best], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0])
     return theta(t), _drift_value(params, p, theta(t)), ts, first
 
 

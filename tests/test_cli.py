@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON/CSV output, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,31 @@ class TestCheck:
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert meta["tool"] == "faultroute"
         assert meta["config"]["eta"] == 0.5
+
+
+class TestCheckMatchesBounds:
+    """``check`` certifies a demand exactly when it is at most its own ``bounds.lower``."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},  # the README network
+            {"F1": 0.7, "F2": 0.3, "beta": 3.0, "probs": [0.5, 0.2, 0.2, 0.1]},
+            {"F1": 0.35, "F2": 0.65, "beta": 0.2, "probs": None, "failure": {"p": 0.3, "rho": 0.1}},
+        ],
+    )
+    def test_stable_up_to_lower_and_not_beyond(self, tmp_path, capsys, config):
+        _, out, _ = run(capsys, ["--config", str(write_config(tmp_path, **config)), "bounds"])
+        lower = json.loads(out)["bounds"]["lower"]
+        assert lower > 0.0
+        for eta, expected in ((lower, "certified-stable"), (math.nextafter(lower, 1.0), "indeterminate")):
+            cfg = write_config(tmp_path, **config, eta=eta)
+            _, out, _ = run(capsys, ["--config", str(cfg), "check"])
+            payload = json.loads(out)
+            assert payload["necessary"]["holds"]
+            assert payload["bounds"]["lower"] == lower
+            assert payload["classification"] == expected
+            assert (payload["classification"] == "certified-stable") == (eta <= payload["bounds"]["lower"])
 
 
 class TestConfigErrors:

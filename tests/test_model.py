@@ -1,6 +1,7 @@
 """Flow, fault-map, routing, vector-field, and mode-chain behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from faultroute import (
     vector_field,
 )
 from faultroute.model import _field, drift_field
-from faultroute.stability import _drift_value
+from faultroute.stability import STRICT_DRIFT, _drift_value
 
 HALF = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.8)
 
@@ -351,6 +352,43 @@ class TestDriftField:
         params = NetworkParams(F1=0.5, F2=0.5, beta=500.0, eta=0.5)
         mu1, mu2 = drift_field(params, 20.0, 5.0).shares[0]
         assert mu1 == 0.0 and mu2 == 1.0
+
+
+class TestCriticalDemand:
+    """``critical_demand`` against a dense demand scan of the scalar drift."""
+
+    @given(
+        t1=thresholds,
+        t2=thresholds,
+        F1=capacities,
+        beta=betas,
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sets(st.integers(0, 3), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_dense_scan_of_the_scalar_drift(self, t1, t2, F1, beta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
+        p = dirichlet(seed)
+        p[sorted(zeros)] = 0.0
+        p = validate_mode_probs(p / p.sum())
+        crit = float(drift_field(params, t1, t2).critical_demand(p, STRICT_DRIFT))
+        assert crit == -math.inf or 0.0 <= crit <= 1.0
+        etas = np.concatenate([np.linspace(0.0, 1.0, 1001), [crit - 1e-12, crit + 1e-12]])
+        for eta in etas[(etas >= 0.0) & (etas <= 1.0)].tolist():
+            holds = _drift_value(replace(params, eta=eta), p, (t1, t2)) <= -STRICT_DRIFT
+            if eta <= crit - 1e-12:
+                assert holds, eta
+            elif eta >= crit + 1e-12:
+                assert not holds, eta
+
+    def test_examples(self):
+        # at equal large thresholds modes 2 and 3 route all demand to the link
+        # whose sensor is down: the drift is 0.75 eta - 0.5
+        field = drift_field(HALF, 50.0, 50.0)
+        assert float(field.critical_demand(np.full(4, 0.25), 0.0)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert float(drift_field(HALF, 0.0, 3.0).critical_demand(np.full(4, 0.25), 1e-9)) == -math.inf  # no outflow on link 1
+        fault_free = drift_field(HALF, 50.0, 50.0).critical_demand(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        assert float(fault_free) == 1.0  # (eta - 1) / 2 <= 0 on all of [0, 1]
 
 
 def old_rhs(params, s, x1, x2):

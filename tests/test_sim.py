@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultroute import (
@@ -277,20 +277,42 @@ LANE_TOL = 1e-12
 THRESHOLD = 1e-4  # stability_probe's default slope threshold
 
 
+def slope_tol(t, y):
+    """Bound on the change of ``Trajectory._ols_slope`` when each sample ``y_i`` moves by ``LANE_TOL * (1 + |y_i|)``.
+
+    The fitted slope over the trailing half is ``sum_i (t_i - tbar) y_i /
+    sum_i (t_i - tbar)^2``, linear in the samples, so per-sample errors
+    ``e_i`` move it by at most ``sum_i |t_i - tbar| e_i / sum_i (t_i - tbar)^2``.
+    A fixed tolerance on the slope ignores that denominator: when the horizon
+    sits just past a sample time, the last two samples are 1e-5 apart, and
+    ulp-level state differences move the slope by about 5e-11.
+    """
+    half = len(t) // 2
+    tt = t[half:] - t[half:].mean()
+    denom = float(tt @ tt)
+    if denom == 0.0:  # no slope is fitted; both sides are NaN
+        return 0.0
+    return float(np.abs(tt) @ (LANE_TOL * (1.0 + np.abs(y[half:])))) / denom
+
+
 def assert_lanes_match_probes(params, rates, cfg, etas, replications):
     """Every lane of the lockstep scan equals the scalar probe's run at its demand."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # no slope from runs under 4 samples
         scan = throughput_scan(params, rates, cfg, etas, replications=replications)
         probes = [stability_probe(replace(params, eta=e), rates, cfg, replications) for e in etas]
-    for got, want in zip(scan.probes, probes):
+    for got, want, eta in zip(scan.probes, probes, etas):
         assert len(got.run_stats) == len(want.run_stats) == replications
         for run, ref in zip(got.run_stats, want.run_stats):
             for key in ("samples", "jumps", "diverged", "seed"):
                 assert run[key] == ref[key], key
             assert (run["diverged_at"] is None) == (ref["diverged_at"] is None)
-            for key in ("final_x", "final_avg_abs", "avg_slope", "growth_slope", "elapsed", "mode_occupancy"):
+            for key in ("final_x", "final_avg_abs", "elapsed", "mode_occupancy"):
                 assert np.allclose(run[key], ref[key], rtol=LANE_TOL, atol=LANE_TOL, equal_nan=True), key
+            traj = simulate(replace(params, eta=eta), rates, replace(cfg, seed=ref["seed"]))
+            for key, series in (("avg_slope", traj.avg_abs), ("growth_slope", traj.x1 + traj.x2)):
+                assert math.isnan(run[key]) == math.isnan(ref[key]), key
+                assert not abs(run[key] - ref[key]) > slope_tol(traj.t, series), key
             if ref["diverged_at"] is not None:
                 assert run["diverged_at"] == pytest.approx(ref["diverged_at"], rel=LANE_TOL, abs=LANE_TOL)
         assert got.n_diverged == want.n_diverged
@@ -345,8 +367,21 @@ def scan_cases(draw):
     return params, rates, cfg, etas, draw(st.integers(1, 3))
 
 
+SLOPE_CASE_RATES = np.zeros((4, 4))
+SLOPE_CASE_RATES[0][3] = 1.25
+
+
 class TestLockstepScan:
     @given(case=scan_cases())
+    @example(  # the horizon sits 1e-5 past the last whole sample time
+        case=(
+            NetworkParams(0.0, 1.0, 1.0, 0.0),
+            SLOPE_CASE_RATES,
+            SimConfig(horizon=2.00001, step=0.1, x0=(0.0, 1.0), divergence_cap=2.0),
+            [1.0],
+            1,
+        )
+    )
     @settings(max_examples=30, deadline=None)
     def test_lanes_match_scalar_probe(self, case):
         assert_lanes_match_probes(*case)

@@ -13,7 +13,6 @@ from faultroute import (
     ErgodicityError,
     MonotonicityError,
     NetworkParams,
-    NumericsError,
     ParameterError,
     congestion_floors,
     flow,
@@ -41,11 +40,9 @@ from faultroute.stability import (
     ZOOM_LEVELS,
     ZOOM_N,
     ThetaWitness,
-    ThroughputBounds,
     _bisect_predicate,
     _drift_value,
     _excess_rates,
-    _necessary,
     _necessary_upper,
     _Searcher,
     zoom_min,
@@ -263,7 +260,7 @@ class TestThroughputBounds:
             return eta < 0.3 or 0.5 < eta < 0.7
 
         with pytest.raises(MonotonicityError) as err:
-            _bisect_predicate(bad, 1e-4, "synthetic")
+            _bisect_predicate(bad, 1e-4)
         lo, hi = err.value.eta_pair
         assert lo < hi
 
@@ -516,69 +513,40 @@ class TestCertificateMatchesScalarLoop:
             assert cert.d == pytest.approx(d, rel=1e-12, abs=0.0)
 
 
-# The coarse search grid, and the search as it was before pruning and batching:
-# the oracle of the tests below, kept only here.
+# The coarse search grid, and the search without pruning: the oracle of the
+# tests below, kept only here.
 GRID = -np.log(np.logspace(math.log10(Z_FLOOR), 0.0, GRID_N))
 
 
-def single_zoom_min(values, center, step, lo, hi):
-    """``zoom_min`` for one center, with ``values`` on a plain open mesh."""
-    center = np.asarray(center, dtype=float)
+def full_grid_critical_demand(params, p):
+    return drift_field(params, GRID[:, None], GRID[None, :]).critical_demand(p, STRICT_DRIFT)
+
+
+def full_grid_theta(params, p):
+    """``theta`` refined from ``np.argmax`` of the critical demand over all ``GRID_N ** 2`` coarse points."""
+    i, j = np.unravel_index(int(np.argmax(full_grid_critical_demand(params, p))), (GRID_N, GRID_N))
+    t1, t2 = zoom_min(
+        lambda a, b: -drift_field(params, a, b).critical_demand(p, STRICT_DRIFT),
+        (GRID[i], GRID[j]),
+        GRID[0] / (GRID_N - 1),
+        0.0,
+        GRID[0],
+    )
+    return float(t1), float(t2)
+
+
+def batched_zoom_min(values, centers, step, lo, hi):
+    """``zoom_min`` as it was with a batch axis: ``m`` centers refined together."""
+    centers = np.array(centers, dtype=float)
+    m, d = centers.shape
+    lanes = np.arange(m)[:, None], np.arange(d)
     for _ in range(ZOOM_LEVELS):
-        axes = [np.clip(np.linspace(c - step, c + step, ZOOM_N), lo, hi) for c in center]
-        v = values(*np.ix_(*axes))
-        best = np.unravel_index(int(np.argmin(v)), v.shape)
-        center = np.array([axis[k] for axis, k in zip(axes, best)])
+        axes = np.clip(np.linspace(centers - step, centers + step, ZOOM_N), lo, hi)  # (ZOOM_N, m, d)
+        mesh = [axes[:, :, k].T.reshape((m,) + (1,) * k + (ZOOM_N,) + (1,) * (d - 1 - k)) for k in range(d)]
+        best = np.unravel_index(np.argmin(values(*mesh).reshape(m, -1), axis=1), (ZOOM_N,) * d)
+        centers = axes[(np.array(best).T, *lanes)]
         step *= 2.0 / (ZOOM_N - 1)
-    return center
-
-
-def full_grid_searcher(params):
-    """One demand per call, ``np.argmin`` over all ``GRID_N ** 2`` coarse points."""
-    coarse = drift_field(params, GRID[:, None], GRID[None, :])
-    step = GRID[0] / (GRID_N - 1)
-
-    def search(params, p):
-        eta = params.eta
-        values = coarse.averaged(eta, p)
-        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-        t1, t2 = single_zoom_min(
-            lambda a, b: drift_field(params, a, b).averaged(eta, p), (GRID[i], GRID[j]), step, 0.0, GRID[0]
-        )
-        theta = (float(t1), float(t2))
-        drift = _drift_value(params, p, theta)
-        return ThetaWitness(theta, drift) if drift < -STRICT_DRIFT else None
-
-    return search
-
-
-def sequential_bounds(params, probs):
-    """``throughput_bounds`` with every demand searched on its own over the full grid."""
-    p = validate_mode_probs(probs)
-    search = full_grid_searcher(params)
-    witnesses = {}
-
-    def stable_at(eta):
-        w = search(replace(params, eta=eta), p)
-        if w is not None:
-            witnesses[eta] = w
-        return w is not None
-
-    lower, _ = _bisect_predicate(stable_at, BISECT_TOL, "sufficient")
-    upper = _necessary_upper(params, p, BISECT_TOL)
-    violation = _necessary(replace(params, eta=min(1.0, upper + BISECT_TOL)), p).first_violated()
-    if violation is None:
-        violation = _necessary(replace(params, eta=1.0), p).first_violated()
-    if lower > upper:
-        raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
-    return ThroughputBounds(lower, upper, witnesses.get(lower), violation)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (MonotonicityError, NumericsError) as exc:
-        return type(exc), str(exc)
+    return centers
 
 
 def mode_probs(seed, zeros):
@@ -593,44 +561,43 @@ zero_modes = st.sets(st.integers(0, 3), max_size=3)
 
 
 class TestPrunedSearch:
-    """The pruned, batched search returns the full-grid search's answers bit for bit."""
+    """The pruned search finds the full grid's maximum of the critical demand, and ``lower`` is re-checked."""
 
-    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.2), seed=seeds, zeros=zero_modes)
+    @given(F1=capacities, beta=betas, seed=seeds, zeros=zero_modes)
     @settings(max_examples=200, deadline=None)
-    def test_pruned_argmin_is_the_full_grid_argmin(self, F1, beta, eta, seed, zeros):
-        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+    def test_pruned_argmin_is_the_full_grid_argmin(self, F1, beta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
+        p = mode_probs(seed, zeros)
+        i, j = _Searcher(params).coarse_argmin(p)
+        assert i * GRID_N + j == int(np.argmax(full_grid_critical_demand(params, p)))
+
+    @given(F1=capacities, beta=betas, seed=seeds, zeros=zero_modes)
+    @settings(max_examples=200, deadline=None)
+    def test_block_bounds_are_below_every_grid_value(self, F1, beta, seed, zeros):
+        # the search minimizes minus the critical demand, so its block bounds
+        # sit below the values as the critical demand's sit above them
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
         p = mode_probs(seed, zeros)
         search = _Searcher(params)
-        full = drift_field(params, GRID[:, None], GRID[None, :])
-        for e in (eta, 0.0, 1.0):
-            i, j = search.coarse_argmin(e, p)
-            assert i * GRID_N + j == int(np.argmin(full.averaged(e, p)))
-
-    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.2), seed=seeds, zeros=zero_modes)
-    @settings(max_examples=200, deadline=None)
-    def test_block_bounds_are_below_every_grid_value(self, F1, beta, eta, seed, zeros):
-        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
-        p = mode_probs(seed, zeros)
-        search = _Searcher(params)
-        values = search.coarse.averaged(eta, p)  # block-major
-        full = drift_field(params, GRID[:, None], GRID[None, :]).averaged(eta, p)
+        values = search.coarse.critical_demand(p, STRICT_DRIFT)  # block-major
+        full = full_grid_critical_demand(params, p)
         assert np.array_equal(values.transpose(0, 2, 1, 3).reshape(GRID_N, GRID_N), full)
-        assert np.all(search.floor.averaged(eta, p)[:, :, None, None] <= values)
+        assert np.all(search.floor.critical_demand(p, STRICT_DRIFT)[:, :, None, None] >= values)
 
     @pytest.mark.parametrize(
         "params, probs",
         [
-            (NetworkParams(F1=0.0, F2=1.0, beta=1.0, eta=0.0), UNIFORM),  # every point is 0
-            (NetworkParams(F1=1.0, F2=0.0, beta=2.0, eta=0.7), np.array([0.0, 0.0, 0.0, 1.0])),  # every point is 0.35
-            (NetworkParams(F1=1.0, F2=0.0, beta=1.0, eta=0.6), np.array([0.0, 0.0, 1.0, 0.0])),  # ties on a row
-            (NetworkParams(F1=0.0, F2=1.0, beta=3.0, eta=0.6), np.array([0.0, 1.0, 0.0, 0.0])),  # ties on a column
+            (NetworkParams(F1=0.0, F2=1.0, beta=1.0, eta=0.0), UNIFORM),  # every point is -inf
+            (NetworkParams(F1=0.2, F2=0.8, beta=1.0, eta=0.0), np.array([0.0, 0.0, 0.0, 1.0])),  # ties on a row
+            (NetworkParams(F1=0.8, F2=0.2, beta=500.0, eta=0.0), UNIFORM),  # ties on a column, from (1, 0)
+            (NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.0), np.array([0.0, 0.5, 0.5, 0.0])),  # ties on a patch
         ],
     )
     def test_ties_resolve_to_the_first_grid_point(self, params, probs):
-        full = drift_field(params, GRID[:, None], GRID[None, :]).averaged(params.eta, probs)
-        assert np.count_nonzero(full == full.min()) > 1
-        i, j = _Searcher(params).coarse_argmin(params.eta, probs)
-        assert i * GRID_N + j == int(np.argmin(full))
+        full = full_grid_critical_demand(params, probs)
+        assert np.count_nonzero(full == full.max()) > 1
+        i, j = _Searcher(params).coarse_argmin(probs)
+        assert i * GRID_N + j == int(np.argmax(full))
 
     @given(
         F1=capacities,
@@ -644,6 +611,8 @@ class TestPrunedSearch:
     )
     @settings(max_examples=100, deadline=None)
     def test_batched_zoom_equals_single_zooms(self, F1, beta, seed, lanes):
+        # the single-center zoom_min refines as the batched one did, bit for
+        # bit, so hetero_witness's one-coordinate sweep kept its outputs
         params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
         p = dirichlet(seed)
         etas = [eta for eta, _, _ in lanes]
@@ -653,17 +622,62 @@ class TestPrunedSearch:
         def field(eta):
             return lambda a, b: drift_field(params, a, b).averaged(eta, p)
 
-        batch = zoom_min(field(np.array(etas)[:, None, None]), centers, step, 0.0, GRID[0])
-        assert batch.shape == (len(lanes), 2)
+        def diagonal(eta):
+            return lambda t: drift_field(params, t, t).averaged(eta, p)
+
+        batch = batched_zoom_min(field(np.array(etas)[:, None, None]), centers, step, 0.0, GRID[0])
+        line = batched_zoom_min(diagonal(np.array(etas)[:, None]), [c[:1] for c in centers], step, 0.0, GRID[0])
         for k, (eta, center) in enumerate(zip(etas, centers)):
-            alone = zoom_min(field(np.array([[[eta]]])), [center], step, 0.0, GRID[0])
-            assert np.array_equal(batch[k : k + 1], alone)
-            assert np.array_equal(batch[k], single_zoom_min(field(eta), center, step, 0.0, GRID[0]))
+            assert np.array_equal(batch[k], zoom_min(field(eta), center, step, 0.0, GRID[0]))
+            assert np.array_equal(line[k], zoom_min(diagonal(eta), center[:1], step, 0.0, GRID[0]))
 
     @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.2), seed=seeds, zeros=zero_modes)
     @settings(max_examples=30, deadline=None)
     def test_bounds_and_search_equal_the_sequential_full_grid_versions(self, F1, beta, eta, seed, zeros):
         params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
         p = mode_probs(seed, zeros)
-        assert outcome(throughput_bounds, params, p) == outcome(sequential_bounds, params, p)
-        assert sufficient_search(params, p) == full_grid_searcher(params)(params, p)
+        tb = throughput_bounds(params, p)
+        assert tb.upper == _necessary_upper(params, p, BISECT_TOL)
+        w = sufficient_search(params, p)
+        if tb.lower_witness is None:
+            assert tb.lower == 0.0 and w is None
+            assert full_grid_critical_demand(params, p).max() == -math.inf
+            return
+        theta = full_grid_theta(params, p)
+        assert tb.lower_witness.theta == theta
+        if eta <= tb.lower:
+            assert w == ThetaWitness(theta, _drift_value(params, p, theta))
+        else:
+            assert w is None
+
+    @given(F1=capacities, beta=betas, seed=seeds, zeros=zero_modes)
+    @settings(max_examples=100, deadline=None)
+    def test_lower_is_the_rechecked_grid_maximum(self, F1, beta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
+        p = mode_probs(seed, zeros)
+        tb = throughput_bounds(params, p)
+        top = full_grid_critical_demand(params, p).max()
+        if tb.lower_witness is None:
+            assert tb.lower == 0.0 and top == -math.inf
+            return
+        assert_verified(replace(params, eta=tb.lower), p, tb.lower_witness)
+        # the refined theta's critical demand is at least the grid maximum, and
+        # lower sits below it only by the steps the scalar re-check needed
+        refined = float(drift_field(params, *tb.lower_witness.theta).critical_demand(p, STRICT_DRIFT))
+        assert refined >= top
+        assert tb.lower <= refined
+
+
+class TestVerdictMatchesBounds:
+    @given(F1=capacities, beta=betas, eta=st.floats(0.0, 1.0), seed=seeds, zeros=zero_modes)
+    @settings(max_examples=60, deadline=None)
+    def test_certified_stable_iff_demand_is_at_most_lower(self, F1, beta, eta, seed, zeros):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = mode_probs(seed, zeros)
+        verdict = stability_verdict(params, p)
+        tb = throughput_bounds(params, p)
+        if not verdict.necessary.holds:
+            return
+        assert (verdict.classification == "certified-stable") == (eta <= tb.lower and tb.lower_witness is not None)
+        if verdict.witness is not None:
+            assert verdict.witness.theta == tb.lower_witness.theta
