@@ -17,9 +17,11 @@ replays the run bit for bit.  Every demand of a scan reuses the same
 replication seeds (common random numbers).
 
 Two integrators share that draw order and the event logic.  ``simulate``
-advances one run in scalar arithmetic and is the reference; ``stability_probe``
-calls it once per replication.  ``throughput_scan`` advances all
-grid x replication lanes in one numpy lockstep: the state is a
+advances one run in scalar arithmetic and is the reference; its RK4 stepper
+writes ``model._field`` out inline, the same expressions in the same order,
+so its states are bit for bit those of four ``_field`` calls per step.
+``stability_probe`` calls it once per replication.  ``throughput_scan``
+advances all grid x replication lanes in one numpy lockstep: the state is a
 ``(2, lanes)`` array, each lane keeps its own event clock and shortens its own
 last step, and a lane that has reached the horizon or the divergence cap
 takes steps of length zero.  The lockstep evaluates the same expressions in
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .model import NetworkParams, _field, validate_rate_matrix
+from .model import NetworkParams, validate_rate_matrix
 from .stability import congestion_floors
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -133,17 +135,6 @@ class Trajectory:
         }
 
 
-def _rk4_step(params: NetworkParams, s: int, x1: float, x2: float, h: float) -> tuple[float, float]:
-    a1, a2 = _field(params, s, x1, x2)
-    b1, b2 = _field(params, s, x1 + 0.5 * h * a1, x2 + 0.5 * h * a2)
-    c1, c2 = _field(params, s, x1 + 0.5 * h * b1, x2 + 0.5 * h * b2)
-    d1, d2 = _field(params, s, x1 + h * c1, x2 + h * c2)
-    return (
-        x1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0,
-        x2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0,
-    )
-
-
 def _advance(
     params: NetworkParams,
     s: int,
@@ -158,15 +149,54 @@ def _advance(
 ) -> tuple[float, float, float, float, float, bool]:
     """RK4 in mode ``s`` from ``t`` to ``t_end``, the last step shortened to land on it.
 
-    Densities are clamped at zero after each step.  Accumulates the trapezoid
-    integral of ``x1 + x2`` and the time ``held`` in mode ``s``, and stops
-    early once ``x1 + x2`` exceeds ``cap``.  Returns
-    ``(x1, x2, t, integral, held, diverged)``.
+    The four stages evaluate ``model._field`` written out inline: the same
+    expressions in the same order, so every state is bit for bit what four
+    ``_field`` calls per step give.  Densities are clamped at zero after each
+    step.  Accumulates the trapezoid integral of ``x1 + x2`` and the time
+    ``held`` in mode ``s``, and stops early once ``x1 + x2`` exceeds ``cap``.
+    Returns ``(x1, x2, t, integral, held, diverged)``.
     """
+    beta, eta, F1, F2 = params.beta, params.eta, params.F1, params.F2
+    see1, see2 = s in (1, 3), s in (1, 2)  # the densities mode s reports
+    observed = see1 or see2
+    exp, expm1 = math.exp, math.expm1
+    # Each stage takes link 1's share m as _share does, the exponent never
+    # positive; unobserved, the gap is beta * (0.0 - 0.0) = 0.0 and m is
+    # exp(-0.0) / (1.0 + exp(-0.0)) = 0.5.  Then eta * mu_k + F_k * expm1(-x_k)
+    # is the same float as _field's eta * mu_k - F_k * -expm1(-x_k).
+    m = 0.5
     while t < t_end - _TIME_EPS:
         h = min(step, t_end - t)
+        hh = 0.5 * h
         try:
-            n1, n2 = _rk4_step(params, s, x1, x2, h)
+            if observed:
+                g = beta * ((x1 if see1 else 0.0) - (x2 if see2 else 0.0))
+                m = (e := exp(-g)) / (1.0 + e) if g >= 0.0 else 1.0 / (1.0 + exp(g))
+            a1 = eta * m + F1 * expm1(-x1)
+            a2 = eta * (1.0 - m) + F2 * expm1(-x2)
+            y1 = x1 + hh * a1
+            y2 = x2 + hh * a2
+            if observed:
+                g = beta * ((y1 if see1 else 0.0) - (y2 if see2 else 0.0))
+                m = (e := exp(-g)) / (1.0 + e) if g >= 0.0 else 1.0 / (1.0 + exp(g))
+            b1 = eta * m + F1 * expm1(-y1)
+            b2 = eta * (1.0 - m) + F2 * expm1(-y2)
+            y1 = x1 + hh * b1
+            y2 = x2 + hh * b2
+            if observed:
+                g = beta * ((y1 if see1 else 0.0) - (y2 if see2 else 0.0))
+                m = (e := exp(-g)) / (1.0 + e) if g >= 0.0 else 1.0 / (1.0 + exp(g))
+            c1 = eta * m + F1 * expm1(-y1)
+            c2 = eta * (1.0 - m) + F2 * expm1(-y2)
+            y1 = x1 + h * c1
+            y2 = x2 + h * c2
+            if observed:
+                g = beta * ((y1 if see1 else 0.0) - (y2 if see2 else 0.0))
+                m = (e := exp(-g)) / (1.0 + e) if g >= 0.0 else 1.0 / (1.0 + exp(g))
+            d1 = eta * m + F1 * expm1(-y1)
+            d2 = eta * (1.0 - m) + F2 * expm1(-y2)
+            n1 = x1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0
+            n2 = x2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0
         except OverflowError:  # math.expm1 raises where numpy returns inf
             n1 = n2 = math.inf
         if not (math.isfinite(n1) and math.isfinite(n2)):
@@ -187,7 +217,8 @@ def integrate_mode(
 ) -> tuple[float, float]:
     """Integrate the frozen-mode field over ``duration`` with fixed-step RK4.
 
-    Uses the stepper of ``simulate``; a non-finite state raises ``NumericsError``.
+    Uses the stepper of ``simulate``, RK4 on ``model._field`` written out
+    inline; a non-finite state raises ``NumericsError``.
     """
     x1, x2, *_ = _advance(
         params, s, float(x0[0]), float(x0[1]), 0.0, float(duration), step, math.inf, 0.0, 0.0

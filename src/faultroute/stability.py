@@ -356,7 +356,11 @@ def sufficient_search(params: NetworkParams, probs) -> ThetaWitness | None:
     ``-STRICT_DRIFT``.  Otherwise ``None``, a valid outcome, not an error.
     """
     p = validate_mode_probs(probs)
-    lower, witness = _Searcher(params)(p)
+    return _witness_at(params, p, *_Searcher(params)(p))
+
+
+def _witness_at(params: NetworkParams, p: np.ndarray, lower: float, witness: ThetaWitness | None) -> ThetaWitness | None:
+    """The search's ``(lower, witness)`` read at ``params.eta``, as ``sufficient_search`` returns it."""
     if witness is None or params.eta > lower:
         return None
     drift = _drift_value(params, p, witness.theta)
@@ -370,10 +374,25 @@ def stability_verdict(params: NetworkParams, probs) -> StabilityVerdict:
     certifies stability; the remaining gap is reported as indeterminate,
     never coerced either way.
     """
-    necessary = necessary_condition(params, probs)
+    return _verdict(params, probs, None)
+
+
+def _verdict(params: NetworkParams, probs, bounds: ThroughputBounds | None) -> StabilityVerdict:
+    """``stability_verdict``, read off ``bounds = throughput_bounds(params, probs)`` when given.
+
+    ``throughput_bounds`` runs the same demand-free search as
+    ``sufficient_search``, so its ``lower`` and witness give the same
+    verdict without a second search.  Without ``bounds``, the search runs
+    only if the necessary test holds.
+    """
+    p = validate_mode_probs(probs)
+    necessary = _necessary(params, p)
     if not necessary.holds:
         return StabilityVerdict(necessary, False, None, "certified-unstable")
-    witness = sufficient_search(params, probs)
+    if bounds is None:
+        witness = sufficient_search(params, probs)
+    else:
+        witness = _witness_at(params, p, bounds.lower, bounds.lower_witness)
     if witness is not None:
         return StabilityVerdict(necessary, True, witness, "certified-stable")
     return StabilityVerdict(necessary, False, None, "indeterminate")

@@ -1,13 +1,17 @@
 """The benchmark's output contract: its last stdout line is one strict-JSON result.
 
 Anything the package prints to stdout during a run, or a metric that is not
-finite, breaks the line a benchmark driver parses.
+finite, breaks the line a benchmark driver parses.  The run also applies the
+workload's own checks: on ``trajectory`` every ``simulate`` run is replayed
+with DOP853 (``bench/reference.py``), so a wrong RK4 step shows up here.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,9 +20,10 @@ def _reject(constant):
     raise ValueError(f"non-finite metric {constant} in the result line")
 
 
-def test_curves_run_prints_a_strict_json_result():
+@pytest.mark.parametrize("workload", ["curves", "trajectory"])
+def test_run_prints_a_strict_json_result(workload):
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "curves", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from faultroute.cli import load_config, main, parse_config
+from faultroute import stability
+from faultroute.cli import _CLASSIFICATION_EXIT, load_config, main, parse_config
+from faultroute.stability import stability_verdict, throughput_bounds
 
 
 NETWORK = {"F1": 0.5, "F2": 0.5, "beta": 1.0, "eta": 0.5}
@@ -89,6 +91,43 @@ class TestCheckMatchesBounds:
             assert payload["bounds"]["lower"] == lower
             assert payload["classification"] == expected
             assert (payload["classification"] == "certified-stable") == (eta <= payload["bounds"]["lower"])
+
+
+class TestCheckRunsOneSearch:
+    """``check`` reads its verdict off the bounds' search instead of searching twice."""
+
+    CONFIGS = [
+        ({}, "certified-stable"),  # the README network
+        ({"eta": 1.0}, "certified-unstable"),
+        ({"eta": 0.69}, "indeterminate"),
+    ]
+
+    @pytest.mark.parametrize("config, classification", CONFIGS)
+    def test_one_searcher_per_check(self, tmp_path, capsys, monkeypatch, config, classification):
+        built = []
+        init = stability._Searcher.__init__
+
+        def counted(self, params):
+            built.append(params)
+            init(self, params)
+
+        monkeypatch.setattr(stability._Searcher, "__init__", counted)
+        _, out, _ = run(capsys, ["--config", str(write_config(tmp_path, **config)), "check"])
+        assert json.loads(out)["classification"] == classification
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("config, classification", CONFIGS)
+    def test_output_equals_verdict_then_bounds(self, tmp_path, capsys, config, classification):
+        path = write_config(tmp_path, **config)
+        cfg = load_config(str(path))
+        verdict = stability_verdict(cfg.params, cfg.probs)
+        tb = throughput_bounds(cfg.params, cfg.probs)
+        payload = verdict.to_dict()
+        payload["bounds"] = {"lower": tb.lower, "upper": tb.upper}
+        code, out, _ = run(capsys, ["--config", str(path), "check"])
+        assert out == json.dumps(payload, indent=2, default=float) + "\n"
+        assert verdict.classification == classification
+        assert code == _CLASSIFICATION_EXIT[classification]
 
 
 class TestConfigErrors:

@@ -22,7 +22,10 @@ from faultroute import (
     stationary_distribution,
     throughput_scan,
 )
-from faultroute.sim import _lockstep, _replication_seeds
+from faultroute import sim
+from faultroute.model import _field
+from faultroute.sim import _TIME_EPS, _advance, _lockstep, _replication_seeds
+from test_model import betas, capacities, modes, thresholds
 
 HOMOG = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.5)
 ONES = np.ones((4, 4)) - np.eye(4)
@@ -405,3 +408,88 @@ class TestLockstepScan:
             simulate(HOMOG, FROZEN, cfg)
         with pytest.raises(NumericsError):
             throughput_scan(HOMOG, FROZEN, cfg, [0.0, 0.5])
+
+
+def _rk4_step(params: NetworkParams, s: int, x1: float, x2: float, h: float) -> tuple[float, float]:
+    a1, a2 = _field(params, s, x1, x2)
+    b1, b2 = _field(params, s, x1 + 0.5 * h * a1, x2 + 0.5 * h * a2)
+    c1, c2 = _field(params, s, x1 + 0.5 * h * b1, x2 + 0.5 * h * b2)
+    d1, d2 = _field(params, s, x1 + h * c1, x2 + h * c2)
+    return (
+        x1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0,
+        x2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0,
+    )
+
+
+def field_advance(params, s, x1, x2, t, t_end, step, cap, integral, held):
+    """``sim._advance`` as it was before its stages were written out: four ``_field`` calls per step."""
+    while t < t_end - _TIME_EPS:
+        h = min(step, t_end - t)
+        try:
+            n1, n2 = _rk4_step(params, s, x1, x2, h)
+        except OverflowError:  # math.expm1 raises where numpy returns inf
+            n1 = n2 = math.inf
+        if not (math.isfinite(n1) and math.isfinite(n2)):
+            raise NumericsError(f"non-finite state at t={t + h:.6g}, mode={s}: ({n1}, {n2})")
+        n1 = max(n1, 0.0)
+        n2 = max(n2, 0.0)
+        integral += 0.5 * (x1 + x2 + n1 + n2) * h
+        held += h
+        x1, x2 = n1, n2
+        t += h
+        if x1 + x2 > cap:
+            return x1, x2, t, integral, held, True
+    return x1, x2, t, integral, held, False
+
+
+ZERO_ROW_RATES = JUMP_RATES.copy()
+ZERO_ROW_RATES[2] = 0.0  # mode 3 never leaves
+
+
+class TestInlinedField:
+    """``simulate``'s stepper writes ``_field`` out inline; it must stay ``==`` to the calls it replaced."""
+
+    @given(
+        x1=thresholds,
+        x2=thresholds,
+        s=modes,
+        F1=capacities,
+        beta=betas,
+        eta=st.floats(0.0, 1.2),
+        h=st.floats(1e-9, 1.0),
+    )
+    @settings(max_examples=500)
+    def test_one_step_equals_the_field_oracle(self, x1, x2, s, F1, beta, eta, h):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        n1, n2 = _rk4_step(params, s, x1, x2, h)
+        n1, n2 = max(n1, 0.0), max(n2, 0.0)
+        assert _advance(params, s, x1, x2, 0.0, h, h, math.inf, 0.0, 0.0) == (
+            n1, n2, h, 0.5 * (x1 + x2 + n1 + n2) * h, h, False
+        )
+
+    @given(case=scan_cases())
+    @example(  # diverges early: eta above both capacities, the cap just above the start
+        case=(HOMOG, JUMP_RATES, SimConfig(horizon=200.0, step=0.05, seed=3, x0=(0.5, 0.5), divergence_cap=4.0), [1.2], 2)
+    )
+    @example(  # a zero-rate row: once in mode 3 the run stays there
+        case=(NetworkParams(0.7, 0.3, 4.0, 0.0), ZERO_ROW_RATES, SimConfig(horizon=40.0, step=0.1, seed=5), [0.6], 2)
+    )
+    @example(  # link 2 has no capacity; diverges
+        case=(NetworkParams(1.0, 0.0, 0.5, 0.0), ONES, SimConfig(horizon=100.0, step=0.1, seed=6, divergence_cap=20.0), [0.9], 1)
+    )
+    @example(  # link 1 has no capacity, at a large routing sensitivity
+        case=(NetworkParams(0.0, 1.0, 500.0, 0.0), ONES, SimConfig(horizon=30.0, step=0.1, seed=7), [0.4], 1)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_runs_equal_the_field_oracle(self, case):
+        params, rates, cfg, etas, replications = case
+        for eta in etas:
+            for seed in _replication_seeds(cfg.seed, replications):
+                run_params, run_cfg = replace(params, eta=eta), replace(cfg, seed=seed)
+                got = simulate(run_params, rates, run_cfg)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(sim, "_advance", field_advance)
+                    want = simulate(run_params, rates, run_cfg)
+                for key in ("t", "mode", "x1", "x2", "avg_abs", "mode_occupancy", "jump_times", "jump_modes"):
+                    assert np.array_equal(getattr(got, key), getattr(want, key)), key
+                assert (got.elapsed, got.diverged, got.diverged_at) == (want.elapsed, want.diverged, want.diverged_at)
