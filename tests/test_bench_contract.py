@@ -3,7 +3,8 @@
 Anything the package prints to stdout during a run, or a metric that is not
 finite, breaks the line a benchmark driver parses.  The run also applies the
 workload's own checks: on ``trajectory`` every ``simulate`` run is replayed
-with DOP853 (``bench/reference.py``), so a wrong RK4 step shows up here.
+with DOP853 (``bench/reference.py``), so a wrong RK4 step shows up here, and
+on ``scan`` every verdict is checked against the certified demand interval.
 """
 
 import json
@@ -20,7 +21,7 @@ def _reject(constant):
     raise ValueError(f"non-finite metric {constant} in the result line")
 
 
-@pytest.mark.parametrize("workload", ["curves", "trajectory"])
+@pytest.mark.parametrize("workload", ["curves", "scan", "trajectory"])
 def test_run_prints_a_strict_json_result(workload):
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],
