@@ -69,4 +69,4 @@ from .stability import (
     throughput_bounds,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -29,7 +29,9 @@ import numpy as np
 
 from .errors import ErgodicityError, NumericsError, ParameterError
 
-MODES = (1, 2, 3, 4)
+# Which densities (link 1, link 2) each mode's sensors report; a down sensor reads zero.
+OBSERVED = {1: (True, True), 2: (False, True), 3: (True, False), 4: (False, False)}
+MODES = tuple(OBSERVED)
 
 CAPACITY_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
@@ -75,15 +77,10 @@ class NetworkParams:
 
 def fault_map(s: int, x: tuple[float, float]) -> tuple[float, float]:
     """Observed densities in mode ``s``: a down sensor reads zero."""
-    if s == 1:
-        return (x[0], x[1])
-    if s == 2:
-        return (0.0, x[1])
-    if s == 3:
-        return (x[0], 0.0)
-    if s == 4:
-        return (0.0, 0.0)
-    raise ParameterError(f"mode must be in {MODES}, got {s}")
+    if s not in MODES:
+        raise ParameterError(f"mode must be in {MODES}, got {s}")
+    see1, see2 = OBSERVED[s]
+    return (x[0] if see1 else 0.0, x[1] if see2 else 0.0)
 
 
 def flow(params: NetworkParams, k: int, x_k: float) -> float:
@@ -126,18 +123,12 @@ def _field(params: NetworkParams, s: int, x1: float, x2: float) -> tuple[float, 
     """The scalar model: ``(eta * mu_k - f_k)`` for both links in mode ``s``.
 
     Unchecked: ``s`` must be a mode and the densities nonnegative.  The
-    simulator, the sufficient test and the certificate evaluate this one
-    function; ``vector_field`` is its checked form.
+    sufficient test's reference and the certificate checks evaluate it;
+    ``vector_field`` is its checked form, ``sim._run`` writes it out inline
+    and ``drift_field`` is its array form.
     """
-    if s == 1:
-        o1, o2 = x1, x2
-    elif s == 2:
-        o1, o2 = 0.0, x2
-    elif s == 3:
-        o1, o2 = x1, 0.0
-    else:
-        o1 = o2 = 0.0
-    mu1 = _share(params.beta * (o1 - o2))
+    see1, see2 = OBSERVED[s]
+    mu1 = _share(params.beta * ((x1 if see1 else 0.0) - (x2 if see2 else 0.0)))
     eta = params.eta
     return (
         eta * mu1 - params.F1 * -math.expm1(-x1),
@@ -150,9 +141,10 @@ class DriftField:
     """Demand-independent part of the per-mode drifts at a set of densities.
 
     ``shares[s]`` holds both links' routing shares ``(mu1, mu2)`` in mode
-    ``s + 1`` for modes 1-3; mode 4 splits evenly, so its worst link is the
-    one with the smaller outflow ``fmin``.  All arrays broadcast against each
-    other, so one field serves every demand.
+    ``s + 1`` for modes 1-3; mode 4 splits evenly.  ``mode_drift`` and
+    ``averaged`` are built on ``link_drift``; ``fmin``, the smaller outflow,
+    serves ``critical_demand`` and the search's block bounds.  All arrays
+    broadcast against each other, so one field serves every demand.
     """
 
     shares: tuple
@@ -168,15 +160,14 @@ class DriftField:
 
     def mode_drift(self, eta: float) -> list:
         """Per-mode worst-link drift ``max_k(eta * mu_k - f_k)``, modes 1-4."""
-        return [self._worst(eta, s) for s in range(4)]
+        return [np.maximum(g1, g2) for g1, g2 in self.link_drift(eta)]
 
     def averaged(self, eta: float, p) -> np.ndarray:
-        """Worst-link drift averaged over the mode distribution ``p``."""
-        total = self._worst(eta, 0)
-        total *= p[0]
-        buf = np.empty_like(total)
-        for s in (1, 2, 3):
-            total += np.multiply(self._worst(eta, s, buf), p[s], out=buf)
+        """Worst-link drift averaged over the mode distribution ``p``, summed in mode order."""
+        drifts = self.mode_drift(eta)
+        total = drifts[0] * p[0]
+        for d, ps in zip(drifts[1:], p[1:]):
+            total += d * ps
         return total
 
     def critical_demand(self, p, margin: float) -> np.ndarray:
@@ -197,14 +188,6 @@ class DriftField:
             eta = functools.reduce(np.fmin, (b / a for a, b in lines), 1.0)
         return np.where(eta < 0.0, -np.inf, eta)  # some line is above -margin at zero demand
 
-    def _worst(self, eta: float, s: int, out=None) -> np.ndarray:
-        """Worst-link drift of mode ``s + 1``, written to ``out`` if given."""
-        if s == 3:
-            return np.subtract(0.5 * eta, self.fmin, out=out)
-        mu1, mu2 = self.shares[s]
-        worst = np.subtract(eta * mu1, self.f1, out=out)
-        return np.maximum(worst, eta * mu2 - self.f2, out=out)
-
 
 def drift_field(params: NetworkParams, x1, x2) -> DriftField:
     """Routing shares and outflows at densities ``(x1, x2)``, which broadcast.
@@ -219,7 +202,8 @@ def drift_field(params: NetworkParams, x1, x2) -> DriftField:
     f1 = params.F1 * -np.expm1(-x1)
     f2 = params.F2 * -np.expm1(-x2)
     shares = []
-    for gap in (x1 - x2, -x2, x1):  # observed o1 - o2 in modes 1, 2, 3
+    for see1, see2 in (OBSERVED[s] for s in (1, 2, 3)):  # mode 4 splits evenly
+        gap = (x1 if see1 else 0.0) - (x2 if see2 else 0.0)  # observed o1 - o2
         mu1 = np.exp(-np.logaddexp(0.0, params.beta * gap))
         shares.append((mu1, 1.0 - mu1))
     return DriftField(tuple(shares), f1, f2, np.minimum(f1, f2))

@@ -33,12 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .model import NetworkParams, validate_rate_matrix
+from .model import MODES, OBSERVED, NetworkParams, validate_rate_matrix
 from .stability import congestion_floors
 
 GENERATOR_NAME = "numpy.random.PCG64"
 _TIME_EPS = 1e-12
 _DRAW_CHUNK = 256  # jumps drawn per generator call
+SLOPE_THRESHOLD = 1e-4  # trailing slope of the running average a probe calls stable
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,23 @@ class SimConfig:
     divergence_cap: float = 1e3
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0.0 < self.step <= self.sample_interval:
             raise ParameterError(
                 f"need 0 < step <= sample_interval, got step={self.step}, "
                 f"sample_interval={self.sample_interval}"
             )
-        if self.s0 not in (1, 2, 3, 4):
+        if self.s0 not in MODES:
             raise ParameterError(f"initial mode must be in 1..4, got {self.s0}")
-        if self.x0 is not None and (self.x0[0] < 0.0 or self.x0[1] < 0.0):
-            raise ParameterError(f"initial densities must be nonnegative, got {self.x0}")
+        if self.x0 is not None and not _densities_ok(self.x0):
+            raise ParameterError(f"initial densities must be finite and nonnegative, got {self.x0}")
+        if math.isnan(self.divergence_cap):
+            raise ParameterError("divergence cap must not be NaN")
+
+
+def _densities_ok(x: tuple[float, float]) -> bool:
+    return 0.0 <= x[0] < math.inf and 0.0 <= x[1] < math.inf
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,7 @@ def _run(
     # positive; unobserved, the gap is beta * (0.0 - 0.0) = 0.0 and m is
     # exp(-0.0) / (1.0 + exp(-0.0)) = 0.5.  Then eta * mu_k + F_k * expm1(-x_k)
     # is the same float as _field's eta * mu_k - F_k * -expm1(-x_k).
-    see1, see2 = s in (1, 3), s in (1, 2)  # the densities mode s reports
+    see1, see2 = OBSERVED[s]
     observed = see1 or see2
     m = 0.5
     held = 0.0  # time in mode s, folded into occupancy at each jump
@@ -228,7 +235,7 @@ def _run(
             s = jump_modes[taken]
             taken += 1
             t_jump = jump_times[taken] if taken < len(jump_times) else math.inf
-            see1, see2 = s in (1, 3), s in (1, 2)
+            see1, see2 = OBSERVED[s]
             observed = see1 or see2
             m = 0.5
             held = occupancy[s - 1]
@@ -245,8 +252,12 @@ def integrate_mode(
 
     A run of ``simulate``'s integrator with no jumps, no sample times and no
     divergence cap, so its steps are those of one segment; a non-finite
-    state raises ``NumericsError``.
+    state raises ``NumericsError``.  The inputs are checked first.
     """
+    if s not in MODES or not _densities_ok(x0):
+        raise ParameterError(f"need a mode in {MODES} and finite nonnegative densities, got s={s}, x0={x0}")
+    if not (0.0 <= duration < math.inf and 0.0 < step < math.inf):
+        raise ParameterError(f"need a finite duration >= 0 and step > 0, got duration={duration}, step={step}")
     samples, *_ = _run(params, s, float(x0[0]), float(x0[1]), [], [], float(duration), math.inf, step, math.inf)
     return samples[-1][2], samples[-1][3]
 
@@ -403,14 +414,13 @@ def stability_probe(
     rates,
     cfg: SimConfig,
     replications: int,
-    slope_threshold: float = 1e-4,
 ) -> ProbeResult:
     """Heuristic empirical classification from independent replications.
 
     Stable: nothing diverged and the median trailing slope of the running
-    average stays under the threshold.  Unstable: a majority diverged or the
-    median slope exceeds ten times the threshold.  Anything else is reported
-    as inconclusive -- this is a proxy probe, not a certificate.  Each
+    average stays under ``SLOPE_THRESHOLD``.  Unstable: a majority diverged or
+    the median slope exceeds ten times that.  Anything else is reported as
+    inconclusive -- this is a proxy probe, not a certificate.  Each
     replication is one ``simulate`` call with its own seed (module docstring).
     """
     seeds = _replication_seeds(cfg.seed, replications)
@@ -418,9 +428,9 @@ def stability_probe(
     n_div = sum(r.diverged for r in runs)
     med_avg = float(np.nanmedian([r.avg_slope() for r in runs]))
     med_growth = float(np.nanmedian([r.growth_slope() for r in runs]))
-    if n_div == 0 and med_avg < slope_threshold:
+    if n_div == 0 and med_avg < SLOPE_THRESHOLD:
         verdict = "empirically-stable"
-    elif n_div > len(runs) // 2 or med_avg > 10.0 * slope_threshold:
+    elif n_div > len(runs) // 2 or med_avg > 10.0 * SLOPE_THRESHOLD:
         verdict = "empirically-unstable"
     else:
         verdict = "inconclusive"
@@ -447,7 +457,6 @@ def throughput_scan(
     cfg: SimConfig,
     eta_grid,
     replications: int = 3,
-    slope_threshold: float = 1e-4,
 ) -> ScanResult:
     """Probe a sorted demand grid and report the empirical transition window.
 
@@ -465,7 +474,7 @@ def throughput_scan(
         raise ParameterError("eta grid must lie within [0, 1.2]")
     validate_rate_matrix(rates, require_irreducible=False)
     _replication_seeds(cfg.seed, replications)  # rejects replications < 1, also for an empty grid
-    probes = [stability_probe(replace(params, eta=e), rates, cfg, replications, slope_threshold) for e in etas]
+    probes = [stability_probe(replace(params, eta=e), rates, cfg, replications) for e in etas]
     stable = [e for e, p in zip(etas, probes) if p.verdict == "empirically-stable"]
     unstable = [e for e, p in zip(etas, probes) if p.verdict == "empirically-unstable"]
     return ScanResult(

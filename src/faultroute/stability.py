@@ -424,6 +424,8 @@ def _bisect_predicate(predicate, tol: float):
     hi = results[first_false][0]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: a tolerance below their spacing cannot be met
+            break
         if predicate(mid):
             lo = mid
         else:
@@ -438,23 +440,23 @@ def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     one branch-and-bound search (``_Searcher``).  ``lower_witness`` carries
     the scalar drift at ``lower`` itself, re-checked below ``-STRICT_DRIFT``;
     it certifies every smaller demand too.  ``upper`` is the smallest demand
-    at which the necessary test fails, bisected to ``BISECT_TOL``.  The
+    at which the necessary test fails, bisected to ``BISECT_TOL``, and
+    ``upper_violation`` names the first inequality failed there.  The
     demand stored in ``params`` is ignored.
     """
     p = validate_mode_probs(probs)
     lower, witness = _Searcher(params)(p)
     upper = _necessary_upper(params, p, BISECT_TOL)
-
-    violation = _necessary(replace(params, eta=min(1.0, upper + BISECT_TOL)), p).first_violated()
-    if violation is None:
-        violation = _necessary(replace(params, eta=1.0), p).first_violated()
+    violation = _necessary(replace(params, eta=upper), p).first_violated()
     if lower > upper:
         raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
     return ThroughputBounds(lower, upper, witness, violation)
 
 
 def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL) -> float:
-    """Smallest demand at which the necessary test fails (demand in ``params`` ignored)."""
+    """Smallest demand at which the necessary test fails, to a finite ``tol > 0`` (demand in ``params`` ignored)."""
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     return _necessary_upper(params, validate_mode_probs(probs), tol)
 
 

@@ -184,6 +184,25 @@ class TestConfigErrors:
         assert f"'{key}'" in err
 
     @pytest.mark.parametrize(
+        "sim, message",
+        [
+            ({"horizon": float("inf")}, "horizon must be finite"),
+            ({"horizon": float("nan")}, "horizon must be finite"),
+            ({"horizon": 5, "divergence_cap": float("nan")}, "divergence cap must not be NaN"),
+            ({"horizon": 5, "x0": [float("inf"), 0.0]}, "initial densities must be finite"),
+            ({"horizon": 5, "x0": [0.0, float("nan")]}, "initial densities must be finite"),
+        ],
+    )
+    def test_non_finite_sim_value_exits_one(self, tmp_path, capsys, monkeypatch, sim, message):
+        # json writes these as NaN / Infinity; the config is refused before any run starts
+        monkeypatch.setattr("faultroute.sim._run", None)
+        cfg = write_config(tmp_path, sim=sim)
+        code, out, err = run(capsys, ["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
         "raw, named",
         [
             ({**NETWORK, **UNIFORM_CHAIN, "eta_grid": 5}, "'eta_grid'"),

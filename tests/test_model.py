@@ -442,6 +442,83 @@ def old_drift_value(params, p, theta):
     return float(total)
 
 
+def old_kernel(params, x1, x2):
+    """``drift_field`` as it stood before the fault table: gaps ``(x1 - x2, -x2, x1)`` in modes 1-3."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    f1 = params.F1 * -np.expm1(-x1)
+    f2 = params.F2 * -np.expm1(-x2)
+    shares = []
+    for gap in (x1 - x2, -x2, x1):
+        mu1 = np.exp(-np.logaddexp(0.0, params.beta * gap))
+        shares.append((mu1, 1.0 - mu1))
+    return tuple(shares), f1, f2, np.minimum(f1, f2)
+
+
+def old_worst(kernel, eta, s, out=None):
+    """The deleted ``DriftField._worst``: mode 4's worst link through ``min(f1, f2)``."""
+    shares, f1, f2, fmin = kernel
+    if s == 3:
+        return np.subtract(0.5 * eta, fmin, out=out)
+    mu1, mu2 = shares[s]
+    worst = np.subtract(eta * mu1, f1, out=out)
+    return np.maximum(worst, eta * mu2 - f2, out=out)
+
+
+def old_averaged(kernel, eta, p):
+    total = old_worst(kernel, eta, 0)
+    total *= p[0]
+    buf = np.empty_like(total)
+    for s in (1, 2, 3):
+        total += np.multiply(old_worst(kernel, eta, s, buf), p[s], out=buf)
+    return total
+
+
+class TestFaultTable:
+    """The table-driven kernel is ``==`` to the forms it replaced.
+
+    ``drift_field`` reads the fault table, and ``link_drift`` is the one
+    fixed-demand form; both are checked over grids and at single points.
+    """
+
+    @given(
+        x1=st.lists(thresholds, min_size=1, max_size=4),
+        x2=st.lists(thresholds, min_size=1, max_size=4),
+        F1=capacities,
+        beta=betas,
+    )
+    @settings(max_examples=300)
+    def test_shares_equal_the_gap_tuple_form(self, x1, x2, F1, beta):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.5)
+        a, b = np.array(x1)[:, None], np.array(x2)[None, :]
+        field = drift_field(params, a, b)
+        shares, f1, f2, fmin = old_kernel(params, a, b)
+        for (mu1, mu2), (old1, old2) in zip(field.shares, shares, strict=True):
+            assert np.array_equal(mu1, old1) and np.array_equal(mu2, old2)
+        assert np.array_equal(field.f1, f1) and np.array_equal(field.f2, f2)
+        assert np.array_equal(field.fmin, fmin)
+
+    @given(
+        x1=st.lists(thresholds, min_size=1, max_size=4),
+        x2=st.lists(thresholds, min_size=1, max_size=4),
+        F1=capacities,
+        beta=betas,
+        eta=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300)
+    def test_mode_drift_and_averaged_equal_the_worst_link_form(self, x1, x2, F1, beta, eta, seed):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
+        p = validate_mode_probs(dirichlet(seed))
+        for a, b in ((np.array(x1)[:, None], np.array(x2)[None, :]), (x1[0], x2[0])):
+            field = drift_field(params, a, b)
+            kernel = old_kernel(params, a, b)
+            for s, drift in enumerate(field.mode_drift(eta)):
+                assert np.array_equal(drift, old_worst(kernel, eta, s))
+            assert np.array_equal(field.averaged(eta, p), old_averaged(kernel, eta, p))
+        assert list(mode_drift_maxima(params, (x1[0], x2[0]))) == [old_worst(kernel, eta, s) for s in range(4)]
+
+
 class TestScalarField:
     """The one scalar field is bit-identical to the formulas it replaced.
 

@@ -51,6 +51,43 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             simulate(HOMOG, ONES, cfg)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(horizon=math.inf),
+            dict(horizon=math.nan),
+            dict(horizon=10.0, divergence_cap=math.nan),
+            dict(horizon=10.0, x0=(math.inf, 0.0)),
+            dict(horizon=10.0, x0=(0.5, math.nan)),
+            dict(horizon=10.0, x0=(-0.5, 0.5)),
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "s, x0, duration, step",
+        [
+            (0, (0.5, 0.5), 1.0, 0.1),
+            (5, (0.5, 0.5), 1.0, 0.1),
+            (1, (-0.1, 0.5), 1.0, 0.1),
+            (1, (0.5, math.nan), 1.0, 0.1),
+            (1, (math.inf, 0.5), 1.0, 0.1),
+            (1, (0.5, 0.5), 1.0, 0.0),
+            (1, (0.5, 0.5), 1.0, -0.1),
+            (1, (0.5, 0.5), 1.0, math.nan),
+            (1, (0.5, 0.5), 1.0, math.inf),
+            (1, (0.5, 0.5), -1.0, 0.1),
+            (1, (0.5, 0.5), math.inf, 0.1),
+            (1, (0.5, 0.5), math.nan, 0.1),
+        ],
+    )
+    def test_integrate_mode_checks_before_stepping(self, monkeypatch, s, x0, duration, step):
+        monkeypatch.setattr(sim, "_run", None)  # any step taken would raise TypeError
+        with pytest.raises(ParameterError):
+            integrate_mode(HOMOG, s, x0, duration, step)
+
 
 class TestDeterminism:
     def test_identical_seed_identical_trajectory(self):

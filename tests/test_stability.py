@@ -245,9 +245,13 @@ class TestThroughputBounds:
         assert tb.lower_witness is not None and tb.lower_witness.drift < 0.0
 
     def test_extreme_capacity_split_kills_throughput(self):
-        tb = throughput_bounds(params_for(0.0, F1=0.999), UNIFORM)
+        params = params_for(0.0, F1=0.999)
+        tb = throughput_bounds(params, UNIFORM)
         assert tb.lower <= 0.01
         assert tb.lower <= tb.upper <= 1.0
+        # upper is a demand where the test fails; the name is read there
+        assert tb.upper_violation == "necessary2"
+        assert necessary_condition(replace(params, eta=tb.upper), UNIFORM).first_violated() == "necessary2"
 
     def test_fault_free_chain_approaches_one(self):
         p = np.array([1.0, 0.0, 0.0, 0.0])
@@ -276,6 +280,19 @@ class TestNecessaryUpperBound:
     def test_no_gap_no_capacity(self):
         params = NetworkParams(F1=1.0, F2=0.0, beta=1.0, eta=0.0)
         assert necessary_upper_bound(params, UNIFORM) <= 1e-3
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            necessary_upper_bound(NetworkParams(0.6, 0.4, 1.0, 0.0), UNIFORM, tol=tol)
+
+    @pytest.mark.parametrize("F1", [0.6, 0.75, 0.9])
+    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self, F1):
+        params = NetworkParams(F1, 1.0 - F1, 1.0, 0.0)
+        up = necessary_upper_bound(params, UNIFORM, tol=1e-20)
+        assert not necessary_condition(replace(params, eta=up), UNIFORM).holds
+        assert necessary_condition(replace(params, eta=math.nextafter(up, 0.0)), UNIFORM).holds
+        assert abs(up - necessary_upper_bound(params, UNIFORM)) <= BISECT_TOL
 
 
 class TestLyapunovCertificate:
