@@ -69,4 +69,4 @@ from .stability import (
     throughput_bounds,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

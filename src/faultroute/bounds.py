@@ -20,9 +20,22 @@ import numpy as np
 
 from .errors import ParameterError, WitnessError
 from .model import NetworkParams, drift_field, validate_mode_probs
-from .stability import STRICT_DRIFT, Z_FLOOR, ThetaWitness, sufficient_search, sufficient_value, zoom_min
+from .stability import (
+    STRICT_DRIFT,
+    Z_FLOOR,
+    ThetaWitness,
+    necessary_upper_bound,
+    sufficient_search,
+    sufficient_value,
+    zoom_min,
+)
 
 PROB_TOL = 1e-12
+PRODUCT_CHAIN_RATE = 2.0  # alpha + gamma of each sensor in product_chain
+G_GRID = 10_000  # points of (0, 1] that g_monotonicity_check samples
+CURVE_POINTS = 101  # rows of each figure curve
+CURVE_P = 0.5  # failure probability of the correlation sweep
+UNIFORM = np.full(4, 0.25)  # mode law of the capacity-gap sweep, which runs at beta = 1
 
 
 @dataclass(frozen=True)
@@ -43,18 +56,19 @@ class FailureModel:
             raise ParameterError(
                 f"correlation {self.rho} outside [-p, 1-p] = [{-self.p_fail}, {1.0 - self.p_fail}]"
             )
-        p = self.mode_probs(validate=False)
+        p = self._raw_probs()
         if np.any(p < -PROB_TOL) or np.any(p > 1.0 + PROB_TOL):
             raise ParameterError(f"(p, rho) = ({self.p_fail}, {self.rho}) induces probabilities {p}")
 
-    def mode_probs(self, validate: bool = True) -> np.ndarray:
+    def _raw_probs(self) -> np.ndarray:
+        """The induced law as computed, before clipping rounding negatives to zero."""
         p, rho = self.p_fail, self.rho
         p2 = p * (1.0 - p - rho)
         p4 = p * (p + rho)
-        probs = np.array([1.0 - 2.0 * p2 - p4, p2, p2, p4])
-        if validate:
-            probs = validate_mode_probs(np.clip(probs, 0.0, None))
-        return probs
+        return np.array([1.0 - 2.0 * p2 - p4, p2, p2, p4])
+
+    def mode_probs(self) -> np.ndarray:
+        return validate_mode_probs(np.clip(self._raw_probs(), 0.0, None))
 
 
 def rates_from_probs(probs, kappa: float = 1.0) -> np.ndarray:
@@ -71,14 +85,15 @@ def rates_from_probs(probs, kappa: float = 1.0) -> np.ndarray:
     return rates
 
 
-def product_chain(p_fail: float, total_rate: float = 2.0) -> np.ndarray:
+def product_chain(p_fail: float) -> np.ndarray:
     """Two independent sensors, each failing at rate ``alpha`` and recovering
-    at rate ``gamma`` with ``alpha / (alpha + gamma) = p_fail``; the joint
-    chain realizes the zero-correlation failure model."""
+    at rate ``gamma`` with ``alpha / (alpha + gamma) = p_fail`` and
+    ``alpha + gamma = PRODUCT_CHAIN_RATE``; the joint chain realizes the
+    zero-correlation failure model."""
     if not 0.0 < p_fail < 1.0:
         raise ParameterError(f"product chain needs 0 < p_fail < 1, got {p_fail}")
-    alpha = p_fail * total_rate
-    gamma = (1.0 - p_fail) * total_rate
+    alpha = p_fail * PRODUCT_CHAIN_RATE
+    gamma = (1.0 - p_fail) * PRODUCT_CHAIN_RATE
     return np.array(
         [
             [0.0, alpha, alpha, 0.0],
@@ -116,7 +131,13 @@ def _check_hetero_probs(p1: float, p2: float) -> float:
 
 
 def hetero_lower_bound(dF: float, p1: float, p2: float) -> float:
-    """Unequal-capacity bound (symmetric faults, ``p3 = p2``), min form."""
+    """Unequal-capacity bound (symmetric faults, ``p3 = p2``), min form.
+
+    The form does not depend on ``beta``, but the sufficient test's search
+    box does: below about ``beta = 0.07`` the bound can sit far above the
+    ``lower`` of ``throughput_bounds``.  At ``F1 = 0.875``, ``beta = 0.0396``
+    and probs ``(0.861, 0, 0, 0.139)`` it gives 0.896, while ``lower`` is 0.373.
+    """
     if not 0.0 <= dF <= 1.0:
         raise ParameterError(f"capacity gap must be in [0, 1], got {dF}")
     p4 = _check_hetero_probs(p1, p2)
@@ -209,8 +230,8 @@ class GMonotonicityReport:
     g_at_zero: float
 
 
-def g_monotonicity_check(gp: GPolynomial, grid: int = 10_000) -> GMonotonicityReport:
-    """Sample ``g'`` on a dense grid over (0, 1] and report whether it stays positive.
+def g_monotonicity_check(gp: GPolynomial) -> GMonotonicityReport:
+    """Sample ``g'`` at ``G_GRID`` points of (0, 1] and report whether it stays positive.
 
     Failures are reported, not raised: for ``beta < 1`` the ``z^(beta-1)``
     term drives ``g'`` to minus infinity at the origin whenever the leading
@@ -218,7 +239,7 @@ def g_monotonicity_check(gp: GPolynomial, grid: int = 10_000) -> GMonotonicityRe
     values there; for ``beta >= 1`` the minimum is positive, attained at the
     interior point ``z0`` when ``beta > 1``.
     """
-    zs = np.linspace(0.0, 1.0, grid + 1)[1:]
+    zs = np.linspace(0.0, 1.0, G_GRID + 1)[1:]
     _, g1, g2 = g_eval(gp, zs)
     i = int(np.argmin(g1))
     min_g2 = float(g2.min()) if gp.beta <= 1.0 else None
@@ -284,6 +305,12 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     caller's ``probs`` and must beat ``-STRICT_DRIFT``, and the witness
     carries that value.  If the construction misses, the generic
     two-dimensional ``sufficient_search`` is the fallback.
+
+    Domain: below about ``beta = 0.07`` the closed form can exceed anything
+    the sufficient test certifies (see ``hetero_lower_bound``), and a demand
+    between the two then raises ``WitnessError``.  At ``F1 = 0.875``,
+    ``beta = 0.0396`` and probs ``(0.861, 0, 0, 0.139)``, ``lower`` is 0.373
+    against the closed form's 0.896, and ``eta = 0.5`` raises.
     """
     p = validate_mode_probs(probs)
     if abs(p[1] - p[2]) > 1e-9:
@@ -335,19 +362,32 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     )
 
 
-def failure_rate_curve(n: int = 101) -> list[tuple[float, float]]:
+def failure_rate_curve() -> list[tuple[float, float]]:
     """(p, bound) rows for the independent-failure sweep."""
-    return [(p, failure_rate_bound(p)) for p in np.linspace(0.0, 1.0, n)]
+    return [(p, failure_rate_bound(p)) for p in np.linspace(0.0, 1.0, CURVE_POINTS)]
 
 
-def correlation_curve(p: float = 0.5, n: int = 101) -> list[tuple[float, float]]:
-    """(rho, bound) rows sweeping correlation over its admissible range at fixed p."""
-    return [(r, correlation_bound(p, r)) for r in np.linspace(-p, 1.0 - p, n)]
+def correlation_curve() -> list[tuple[float, float]]:
+    """(rho, bound) rows sweeping correlation over its admissible range at ``p = CURVE_P``."""
+    return [(r, correlation_bound(CURVE_P, r)) for r in np.linspace(-CURVE_P, 1.0 - CURVE_P, CURVE_POINTS)]
 
 
-def capacity_gap_curves(n: int = 101) -> list[tuple[float, float, float]]:
+def capacity_gap_curves() -> list[tuple[float, float, float]]:
     """(dF, lower, upper) rows for the uniform-fault capacity-gap sweep."""
     rows = []
-    for dF in np.linspace(0.0, 1.0, n):
+    for dF in np.linspace(0.0, 1.0, CURVE_POINTS):
         rows.append((dF, hetero_lower_bound(dF, 0.25, 0.25), hetero_upper_reference(dF)))
+    return rows
+
+
+def necessary_upper_curve() -> list[tuple[float, float]]:
+    """(dF, upper) rows: the bisected ``necessary_upper_bound`` over the capacity-gap sweep.
+
+    The numeric counterpart of ``capacity_gap_curves``' reference upper curve,
+    at ``F1 = (1 + dF) / 2``, uniform faults and ``beta = 1``.
+    """
+    rows = []
+    for dF in np.linspace(0.0, 1.0, CURVE_POINTS):
+        params = NetworkParams(F1=(1.0 + dF) / 2.0, F2=(1.0 - dF) / 2.0, beta=1.0, eta=0.0)
+        rows.append((dF, necessary_upper_bound(params, UNIFORM)))
     return rows

@@ -39,19 +39,19 @@ from .bounds import (
     failure_rate_curve,
     hetero_lower_bound,
     homogeneous_lower_bound,
+    necessary_upper_curve,
     rates_from_probs,
 )
 from .errors import ParameterError
 from .model import NetworkParams, stationary_distribution, validate_mode_probs, validate_rate_matrix
 from .sim import GENERATOR_NAME, SimConfig, Trajectory, simulate, throughput_scan
-from .stability import _verdict, necessary_upper_bound, throughput_bounds
+from .stability import _verdict, throughput_bounds
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
 EXIT_INDETERMINATE = 3
 
-CURVE_POINTS = 101  # rows per figure CSV
 _SIM_TYPES = get_type_hints(SimConfig)
 
 _CLASSIFICATION_EXIT = {
@@ -250,36 +250,25 @@ def cmd_bounds(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path | 
     return EXIT_OK
 
 
+# figure -> the CSVs it writes, each as (file, header, curve)
+FIGURES = {
+    "homo-rate": (("figure_homo_rate.csv", "p,lower_bound", failure_rate_curve),),
+    "homo-corr": (("figure_homo_corr.csv", "rho,lower_bound", correlation_curve),),
+    "hetero": (
+        ("figure_hetero.csv", "dF,lower_bound,upper_bound", capacity_gap_curves),
+        ("figure_hetero_numeric_upper.csv", "dF,upper_bound", necessary_upper_curve),
+    ),
+}
+
+
 def cmd_figure(cfg: None, args: argparse.Namespace, out_dir: Path, started: float) -> int:
     which = args.which
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if which == "homo-rate":
-        path = out_dir / "figure_homo_rate.csv"
-        _write_csv(path, "p,lower_bound", [(float(p), float(b)) for p, b in failure_rate_curve(CURVE_POINTS)])
+    for name, header, curve in FIGURES[which]:
+        path = out_dir / name
+        _write_csv(path, header, curve())
         written.append(path)
-    elif which == "homo-corr":
-        path = out_dir / "figure_homo_corr.csv"
-        _write_csv(path, "rho,lower_bound", [(float(r), float(b)) for r, b in correlation_curve(0.5, CURVE_POINTS)])
-        written.append(path)
-    elif which == "hetero":
-        path = out_dir / "figure_hetero.csv"
-        _write_csv(
-            path,
-            "dF,lower_bound,upper_bound",
-            [(float(d), float(lo), float(up)) for d, lo, up in capacity_gap_curves(CURVE_POINTS)],
-        )
-        written.append(path)
-        uniform = np.full(4, 0.25)
-        rows = []
-        for dF in np.linspace(0.0, 1.0, CURVE_POINTS):
-            params = NetworkParams(F1=(1.0 + dF) / 2.0, F2=(1.0 - dF) / 2.0, beta=1.0, eta=0.0)
-            rows.append((float(dF), float(necessary_upper_bound(params, uniform))))
-        numeric = out_dir / "figure_hetero_numeric_upper.csv"
-        _write_csv(numeric, "dF,upper_bound", rows)
-        written.append(numeric)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown figure {which!r}")
     _write_metadata(out_dir, f"figure {which}", None, started, {"files": [p.name for p in written]})
     if not args.quiet:
         for p in written:
@@ -368,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("check", help="evaluate the stability verdict")
     sub.add_parser("bounds", help="compute the certified-demand interval")
     fig = sub.add_parser("figure", help="emit bound-curve CSVs")
-    fig.add_argument("which", choices=("homo-rate", "homo-corr", "hetero"))
+    fig.add_argument("which", choices=tuple(FIGURES))
     sub.add_parser("simulate", help="run one trajectory")
     sub.add_parser("scan", help="probe a demand grid with the simulator")
     return parser

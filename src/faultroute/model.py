@@ -75,18 +75,33 @@ class NetworkParams:
         raise ParameterError(f"link index must be 1 or 2, got {k}")
 
 
+def check_mode(s, name: str) -> None:
+    """Reject a mode ``s`` that is not one of ``MODES``; the error names the argument."""
+    if s not in MODES:
+        raise ParameterError(f"{name} must be one of {MODES}, got {s!r}")
+
+
+def check_densities(x, name: str) -> None:
+    """Reject densities or thresholds ``x`` unless every entry is finite and nonnegative.
+
+    The comparison is written so that NaN fails it; the error names the argument.
+    """
+    for v in x:
+        if not 0.0 <= v < math.inf:
+            raise ParameterError(f"{name} must be finite and nonnegative, got {x}")
+
+
 def fault_map(s: int, x: tuple[float, float]) -> tuple[float, float]:
     """Observed densities in mode ``s``: a down sensor reads zero."""
-    if s not in MODES:
-        raise ParameterError(f"mode must be in {MODES}, got {s}")
+    check_mode(s, "s")
+    check_densities(x, "x")
     see1, see2 = OBSERVED[s]
     return (x[0] if see1 else 0.0, x[1] if see2 else 0.0)
 
 
 def flow(params: NetworkParams, k: int, x_k: float) -> float:
     """Outflow of link ``k`` at density ``x_k``: ``F_k * (1 - exp(-x_k))``."""
-    if x_k < 0.0:
-        raise ParameterError(f"density must be nonnegative, got {x_k}")
+    check_densities((x_k,), "x_k")
     return params.capacity(k) * -math.expm1(-x_k)
 
 
@@ -102,8 +117,8 @@ def routing_fraction(params: NetworkParams, s: int, x: tuple[float, float]) -> t
 
 def vector_field(params: NetworkParams, s: int, x: tuple[float, float]) -> tuple[float, float]:
     """Density drift ``(eta * mu_k - f_k)`` for both links in mode ``s``."""
-    if s not in MODES or x[0] < 0.0 or x[1] < 0.0:
-        raise ParameterError(f"need a mode in {MODES} and nonnegative densities, got s={s}, x={x}")
+    check_mode(s, "s")
+    check_densities(x, "x")
     return _field(params, s, x[0], x[1])
 
 
@@ -122,10 +137,10 @@ def _share(gap: float) -> float:
 def _field(params: NetworkParams, s: int, x1: float, x2: float) -> tuple[float, float]:
     """The scalar model: ``(eta * mu_k - f_k)`` for both links in mode ``s``.
 
-    Unchecked: ``s`` must be a mode and the densities nonnegative.  The
-    sufficient test's reference and the certificate checks evaluate it;
-    ``vector_field`` is its checked form, ``sim._run`` writes it out inline
-    and ``drift_field`` is its array form.
+    Unchecked: ``s`` must be a mode and the densities finite and
+    nonnegative.  The sufficient test's reference and the certificate checks
+    evaluate it; ``vector_field`` is its checked form, ``sim._run`` writes
+    it out inline and ``drift_field`` is its array form.
     """
     see1, see2 = OBSERVED[s]
     mu1 = _share(params.beta * ((x1 if see1 else 0.0) - (x2 if see2 else 0.0)))
@@ -271,8 +286,8 @@ def stationary_distribution(rates) -> np.ndarray:
     return p / p.sum()
 
 
-def validate_mode_probs(probs, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    """Check 4 mode probabilities (nonnegative, summing to 1 within ``tol``).
+def validate_mode_probs(probs) -> np.ndarray:
+    """Check 4 mode probabilities (nonnegative, summing to 1 within ``PROB_SUM_TOL``).
 
     Returns them divided by their sum, unless the sum is already within
     ``NORMALIZED_TOL`` of 1: such a vector, any output of this function
@@ -285,6 +300,6 @@ def validate_mode_probs(probs, tol: float = PROB_SUM_TOL) -> np.ndarray:
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise ParameterError(f"mode probabilities must be finite and nonnegative: {p}")
     total = p.sum()
-    if abs(total - 1.0) > tol:
-        raise ParameterError(f"mode probabilities must sum to 1 within {tol:.0e}, got {total!r}")
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ParameterError(f"mode probabilities must sum to 1 within {PROB_SUM_TOL:.0e}, got {total!r}")
     return p if abs(total - 1.0) <= NORMALIZED_TOL else p / total

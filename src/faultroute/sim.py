@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .model import MODES, OBSERVED, NetworkParams, validate_rate_matrix
+from .model import OBSERVED, NetworkParams, check_densities, check_mode, validate_rate_matrix
 from .stability import congestion_floors
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -55,21 +55,16 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
-        if not 0.0 < self.step <= self.sample_interval:
+        if not 0.0 < self.step <= self.sample_interval < math.inf:
             raise ParameterError(
-                f"need 0 < step <= sample_interval, got step={self.step}, "
+                f"need 0 < step <= sample_interval < inf, got step={self.step}, "
                 f"sample_interval={self.sample_interval}"
             )
-        if self.s0 not in MODES:
-            raise ParameterError(f"initial mode must be in 1..4, got {self.s0}")
-        if self.x0 is not None and not _densities_ok(self.x0):
-            raise ParameterError(f"initial densities must be finite and nonnegative, got {self.x0}")
+        check_mode(self.s0, "initial mode")
+        if self.x0 is not None:
+            check_densities(self.x0, "initial densities")
         if math.isnan(self.divergence_cap):
             raise ParameterError("divergence cap must not be NaN")
-
-
-def _densities_ok(x: tuple[float, float]) -> bool:
-    return 0.0 <= x[0] < math.inf and 0.0 <= x[1] < math.inf
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,8 @@ def integrate_mode(
     divergence cap, so its steps are those of one segment; a non-finite
     state raises ``NumericsError``.  The inputs are checked first.
     """
-    if s not in MODES or not _densities_ok(x0):
-        raise ParameterError(f"need a mode in {MODES} and finite nonnegative densities, got s={s}, x0={x0}")
+    check_mode(s, "s")
+    check_densities(x0, "x0")
     if not (0.0 <= duration < math.inf and 0.0 < step < math.inf):
         raise ParameterError(f"need a finite duration >= 0 and step > 0, got duration={duration}, step={step}")
     samples, *_ = _run(params, s, float(x0[0]), float(x0[1]), [], [], float(duration), math.inf, step, math.inf)

@@ -26,6 +26,8 @@ from .model import (
     DriftField,
     NetworkParams,
     _field,
+    check_densities,
+    check_mode,
     drift_field,
     generator_matrix,
     validate_mode_probs,
@@ -205,13 +207,12 @@ def sufficient_value(params: NetworkParams, probs, theta: tuple[float, float]) -
     stationary mode distribution being negative certifies stability.  This
     scalar evaluation is the reference: every witness is checked with it.
     """
-    if theta[0] < 0.0 or theta[1] < 0.0:
-        raise ParameterError(f"theta must be nonnegative, got {theta}")
+    check_densities(theta, "theta")
     return _drift_value(params, validate_mode_probs(probs), theta)
 
 
 def _drift_value(params: NetworkParams, p: np.ndarray, theta: tuple[float, float]) -> float:
-    """Unchecked ``sufficient_value``: ``theta`` nonnegative, ``p`` validated."""
+    """Unchecked ``sufficient_value``: ``theta`` finite and nonnegative, ``p`` validated."""
     t1, t2 = theta
     total = 0.0
     for s, ps in zip((1, 2, 3, 4), p.tolist()):
@@ -466,8 +467,7 @@ def _necessary_upper(params: NetworkParams, p: np.ndarray, tol: float) -> float:
 
 def mode_drift_maxima(params: NetworkParams, theta: tuple[float, float]) -> np.ndarray:
     """Per-mode worst-link drift at ``theta`` (the summands of the averaged drift)."""
-    if theta[0] < 0.0 or theta[1] < 0.0:
-        raise ParameterError(f"theta must be nonnegative, got {theta}")
+    check_densities(theta, "theta")
     return np.array(drift_field(params, theta[0], theta[1]).mode_drift(params.eta))
 
 
@@ -494,6 +494,9 @@ def generator_value(
     x: tuple[float, float],
 ) -> float:
     """Generator applied to the switched quadratic Lyapunov function at (s, x)."""
+    check_mode(s, "s")
+    check_densities(theta, "theta")
+    check_densities(x, "x")
     d1, d2 = _excess_rates(params, s, x, theta)
     w = max(x[0] - theta[0], 0.0) + max(x[1] - theta[1], 0.0)
     i = s - 1
@@ -574,8 +577,7 @@ def invariant_set_check(
     vector-field component must be strictly positive; counterexamples are
     collected rather than raised.
     """
-    if not (math.isfinite(floors[0]) and math.isfinite(floors[1])):
-        raise ParameterError("invariant-set check requires finite floors")
+    check_densities(floors, "floors")
     rng = np.random.default_rng(seed)
     hi1 = 1.5 * floors[0] + 1.0
     hi2 = 1.5 * floors[1] + 1.0

@@ -5,6 +5,8 @@ finite, breaks the line a benchmark driver parses.  The run also applies the
 workload's own checks: on ``trajectory`` every ``simulate`` run is replayed
 with DOP853 (``bench/reference.py``), so a wrong RK4 step shows up here, and
 on ``scan`` every verdict is checked against the certified demand interval.
+A traced run (``--trace 1``) wraps the package's public functions and reports
+the per-layer metrics instead, so a change to those functions shows up there.
 """
 
 import json
@@ -21,10 +23,10 @@ def _reject(constant):
     raise ValueError(f"non-finite metric {constant} in the result line")
 
 
-@pytest.mark.parametrize("workload", ["curves", "scan", "trajectory"])
-def test_run_prints_a_strict_json_result(workload):
+def _run_and_check(workload: str, trace: str, declared_key: str) -> None:
+    """One 1-second run at seed 1: exit 0, a strict-JSON last line, no failures, the declared metrics."""
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -35,9 +37,18 @@ def test_run_prints_a_strict_json_result(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())[declared_key]
     metrics = result["metrics"]
     assert sorted(metrics) == sorted(m["name"] for m in declared)
     for m in declared:
         assert metrics[m["name"]]["unit"] == m["unit"]
         assert isinstance(metrics[m["name"]]["value"], (int, float))
+
+
+@pytest.mark.parametrize("workload", ["curves", "scan", "trajectory", "certify"])
+def test_run_prints_a_strict_json_result(workload):
+    _run_and_check(workload, "0", "end_to_end")
+
+
+def test_traced_run_reports_every_layer_metric():
+    _run_and_check("certify", "1", "per_layer")

@@ -249,7 +249,7 @@ class TestGMonotonicity:
     @given(beta=st.floats(1.0, 5.0), eta=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
     @settings(max_examples=100)
     def test_positive_derivative_for_beta_at_least_one(self, beta, eta, q):
-        rep = g_monotonicity_check(GPolynomial(beta=beta, eta=eta, q=q), grid=2000)
+        rep = g_monotonicity_check(GPolynomial(beta=beta, eta=eta, q=q))
         assert rep.passed, (beta, eta, q, rep.min_g1)
 
 

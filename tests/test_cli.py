@@ -191,6 +191,8 @@ class TestConfigErrors:
             ({"horizon": 5, "divergence_cap": float("nan")}, "divergence cap must not be NaN"),
             ({"horizon": 5, "x0": [float("inf"), 0.0]}, "initial densities must be finite"),
             ({"horizon": 5, "x0": [0.0, float("nan")]}, "initial densities must be finite"),
+            ({"horizon": 5, "step": float("inf"), "sample_interval": float("inf")}, "need 0 < step"),
+            ({"horizon": 5, "sample_interval": float("inf")}, "need 0 < step"),
         ],
     )
     def test_non_finite_sim_value_exits_one(self, tmp_path, capsys, monkeypatch, sim, message):

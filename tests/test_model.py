@@ -14,6 +14,8 @@ from faultroute import (
     ErgodicityError,
     fault_map,
     flow,
+    generator_value,
+    lyapunov_certificate,
     mode_drift_maxima,
     routing_fraction,
     stationary_distribution,
@@ -22,6 +24,7 @@ from faultroute import (
     validate_rate_matrix,
     vector_field,
 )
+from faultroute import model, sim, stability
 from faultroute.model import _field, drift_field
 from faultroute.stability import STRICT_DRIFT, _drift_value
 
@@ -29,6 +32,61 @@ HALF = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.8)
 
 densities = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
 modes = st.sampled_from([1, 2, 3, 4])
+
+# What the public boundary rejects: each bad level in each coordinate of a
+# density or threshold pair, and modes on either side of 1..4.
+BAD_LEVELS = (math.nan, math.inf, -math.inf, -1.0)
+BAD_PAIRS = [(v, 0.5) for v in BAD_LEVELS] + [(0.5, v) for v in BAD_LEVELS]
+BAD_MODES = (0, 5)
+
+
+def forbid_work(monkeypatch):
+    """Replace the unchecked forms behind the public functions with ``None``.
+
+    A public function that starts its work before rejecting an input then
+    raises ``TypeError``, not ``ParameterError``.
+    """
+    monkeypatch.setattr(NetworkParams, "capacity", None)
+    for module, name in (
+        (model, "_share"),
+        (model, "_field"),
+        (stability, "_drift_value"),
+        (stability, "_excess_rates"),
+        (stability, "drift_field"),
+        (sim, "_run"),
+    ):
+        monkeypatch.setattr(module, name, None)
+
+
+def _boundary_cases():
+    """``(call, bad)`` for the public functions whose checks no other test covers."""
+    rates, a, ok = np.ones((4, 4)) - np.eye(4), np.ones(4), (0.5, 0.5)
+    uniform = np.full(4, 0.25)
+    takes_pair = {
+        "fault_map": lambda x: fault_map(1, x),
+        "routing_fraction": lambda x: routing_fraction(HALF, 1, x),
+        "mode_drift_maxima": lambda x: mode_drift_maxima(HALF, x),
+        "lyapunov_certificate": lambda x: lyapunov_certificate(HALF, uniform, rates, x),
+        "generator_value-theta": lambda x: generator_value(HALF, rates, a, x, 1, ok),
+        "generator_value-x": lambda x: generator_value(HALF, rates, a, ok, 1, x),
+    }
+    takes_mode = {
+        "routing_fraction": lambda s: routing_fraction(HALF, s, ok),
+        "generator_value": lambda s: generator_value(HALF, rates, a, ok, s, ok),
+    }
+    for name, call in takes_pair.items():
+        for x in BAD_PAIRS:
+            yield pytest.param(call, x, id=f"{name}-{x[0]}-{x[1]}")
+    for name, call in takes_mode.items():
+        for s in BAD_MODES:
+            yield pytest.param(call, s, id=f"{name}-mode{s}")
+
+
+@pytest.mark.parametrize("call, bad", list(_boundary_cases()))
+def test_public_boundary_rejects_before_work(monkeypatch, call, bad):
+    forbid_work(monkeypatch)
+    with pytest.raises(ParameterError):
+        call(bad)
 
 
 class TestNetworkParams:
@@ -80,11 +138,13 @@ class TestFlow:
         assert flow(HALF, 1, x) == pytest.approx(0.26, abs=1e-3)
         assert flow(HALF, 1, x) == pytest.approx(0.8 * u / (1.0 + u), abs=1e-6)
 
-    def test_negative_density_rejected(self):
-        with pytest.raises(ParameterError):
-            flow(HALF, 1, -0.5)
+    def test_negative_density_rejected(self, monkeypatch):
         with pytest.raises(ParameterError):
             flow(HALF, 3, 1.0)
+        forbid_work(monkeypatch)
+        for x in BAD_LEVELS:
+            with pytest.raises(ParameterError):
+                flow(HALF, 1, x)
 
     @given(x=densities)
     def test_bounded_by_capacity(self, x):
@@ -108,8 +168,9 @@ class TestFaultMap:
         assert fault_map(4, x) == (0.0, 0.0)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            fault_map(5, (1.0, 1.0))
+        for s in BAD_MODES:
+            with pytest.raises(ParameterError):
+                fault_map(s, (1.0, 1.0))
 
     @given(s=modes, x1=densities, x2=densities)
     def test_idempotent(self, s, x1, x2):
@@ -561,8 +622,11 @@ class TestScalarField:
         assert sufficient_value(params, raw, (t1, t2)) == expected
         assert _drift_value(params, p, (t1, t2)) == expected
 
-    def test_vector_field_checks_its_inputs(self):
-        with pytest.raises(ParameterError):
-            vector_field(HALF, 5, (1.0, 1.0))
-        with pytest.raises(ParameterError):
-            vector_field(HALF, 1, (-0.5, 1.0))
+    def test_vector_field_checks_its_inputs(self, monkeypatch):
+        forbid_work(monkeypatch)
+        for s in BAD_MODES:
+            with pytest.raises(ParameterError):
+                vector_field(HALF, s, (1.0, 1.0))
+        for x in BAD_PAIRS:
+            with pytest.raises(ParameterError):
+                vector_field(HALF, 1, x)

@@ -26,7 +26,7 @@ from faultroute import (
 from faultroute import sim
 from faultroute.model import _field, validate_rate_matrix
 from faultroute.sim import _TIME_EPS, _replication_seeds
-from test_model import betas, capacities, modes, thresholds
+from test_model import BAD_PAIRS, betas, capacities, modes, thresholds
 
 HOMOG = NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.5)
 ONES = np.ones((4, 4)) - np.eye(4)
@@ -60,6 +60,12 @@ class TestConfigValidation:
             dict(horizon=10.0, x0=(math.inf, 0.0)),
             dict(horizon=10.0, x0=(0.5, math.nan)),
             dict(horizon=10.0, x0=(-0.5, 0.5)),
+            dict(horizon=10.0, step=math.inf, sample_interval=math.inf),
+            dict(horizon=10.0, sample_interval=math.inf),
+            dict(horizon=10.0, step=math.nan),
+            dict(horizon=10.0, sample_interval=math.nan),
+            dict(horizon=10.0, s0=5),
+            *(dict(horizon=10.0, x0=x) for x in BAD_PAIRS),
         ],
     )
     def test_non_finite_values_rejected(self, kwargs):
@@ -81,6 +87,7 @@ class TestConfigValidation:
             (1, (0.5, 0.5), -1.0, 0.1),
             (1, (0.5, 0.5), math.inf, 0.1),
             (1, (0.5, 0.5), math.nan, 0.1),
+            *((1, x, 1.0, 0.1) for x in BAD_PAIRS),
         ],
     )
     def test_integrate_mode_checks_before_stepping(self, monkeypatch, s, x0, duration, step):

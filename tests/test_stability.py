@@ -48,6 +48,8 @@ from faultroute.stability import (
     zoom_min,
 )
 
+from test_model import BAD_PAIRS, forbid_work
+
 UNIFORM = np.full(4, 0.25)
 
 # the z-grid search this replaced certified this network falsely: z**beta underflowed
@@ -213,9 +215,12 @@ class TestSufficientValue:
         homo = (1.0 + (1.0 - z) / (1.0 + z) * q) * eta - (1.0 - z)
         assert sufficient_value(params, p, (theta, theta)) == pytest.approx(homo / 2.0, abs=1e-12)
 
-    def test_negative_theta_rejected(self):
-        with pytest.raises(ParameterError):
-            sufficient_value(params_for(0.5), UNIFORM, (-1.0, 0.0))
+    def test_negative_theta_rejected(self, monkeypatch):
+        params = params_for(0.5)
+        forbid_work(monkeypatch)
+        for theta in BAD_PAIRS:
+            with pytest.raises(ParameterError):
+                sufficient_value(params, UNIFORM, theta)
 
 
 class TestSufficientSearch:
