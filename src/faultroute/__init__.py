@@ -22,7 +22,6 @@ from .bounds import (
 from .errors import (
     CertificateError,
     ErgodicityError,
-    MonotonicityError,
     NumericsError,
     ParameterError,
     WitnessError,
@@ -69,4 +68,4 @@ from .stability import (
     throughput_bounds,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

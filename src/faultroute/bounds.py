@@ -78,8 +78,8 @@ def rates_from_probs(probs, kappa: float = 1.0) -> np.ndarray:
     to its target probability makes the balance equations hold identically.
     """
     p = validate_mode_probs(probs)
-    if kappa <= 0.0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be finite and positive, got {kappa}")
     rates = kappa * np.tile(p, (4, 1))
     np.fill_diagonal(rates, 0.0)
     return rates
@@ -182,12 +182,12 @@ class GPolynomial:
     q: float
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ParameterError(f"beta must be finite and positive, got {self.beta}")
         if not 0.0 <= self.q <= 1.0:
             raise ParameterError(f"q must be in [0, 1], got {self.q}")
-        if self.eta < 0.0:
-            raise ParameterError(f"eta must be nonnegative, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ParameterError(f"eta must be finite and nonnegative, got {self.eta}")
 
     @property
     def c1(self) -> float:
@@ -206,8 +206,8 @@ def g_eval(gp: GPolynomial, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at zero for ``beta < 2``, hence the open domain.
     """
     zz = np.asarray(z, dtype=float)
-    if np.any(zz <= 0.0):
-        raise ParameterError("g is evaluated on (0, 1]; got nonpositive z")
+    if not np.all(zz > 0.0):
+        raise ParameterError("g is evaluated on (0, 1]; got a nonpositive or NaN z")
     b, c1 = gp.beta, gp.c1
     d0 = 1.0 - (1.0 + gp.q) * gp.eta
     g = zz ** (b + 1.0) - c1 * zz**b + zz - d0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificateError, ErgodicityError, MonotonicityError, NumericsError, ParameterError
+from .errors import CertificateError, ErgodicityError, NumericsError, ParameterError
 from .model import (
     DriftField,
     NetworkParams,
@@ -44,7 +44,6 @@ CHUNK = 64  # blocks evaluated per pass of the pruned coarse search
 ZOOM_N = 17  # points per axis of each refinement grid
 ZOOM_LEVELS = 5  # refinement grids, each (ZOOM_N - 1) / 2 times finer than the last
 BISECT_TOL = 1e-4
-PRE_GRID = 11  # demands the necessary bisection probes on [0, 1] first
 CERT_GRID_N = 65  # certificate sampling grid points per axis
 CERT_MARGIN = 1.1  # safety factor on the sampled certificate constant d
 
@@ -190,8 +189,8 @@ def necessary_condition(params: NetworkParams, probs) -> NecessaryReport:
 def _necessary(params: NetworkParams, p: np.ndarray) -> NecessaryReport:
     eta = params.eta
     x1, x2 = congestion_floors(params)
-    e1 = math.exp(-params.beta * x1) if math.isfinite(x1) else 0.0
-    e2 = math.exp(-params.beta * x2) if math.isfinite(x2) else 0.0
+    e1 = math.exp(-params.beta * x1)
+    e2 = math.exp(-params.beta * x2)
     lhs1 = eta * (p[1] / (e2 + 1.0) + 0.5 * p[3])
     lhs2 = eta * (p[2] / (e1 + 1.0) + 0.5 * p[3])
     slacks = (params.F1 - lhs1, params.F2 - lhs2, 1.0 - eta)
@@ -399,41 +398,6 @@ def _verdict(params: NetworkParams, probs, bounds: ThroughputBounds | None) -> S
     return StabilityVerdict(necessary, False, None, "indeterminate")
 
 
-def _bisect_predicate(predicate, tol: float):
-    """Bisection for the flip point of the necessary test's predicate on [0, 1].
-
-    Probes ``PRE_GRID`` evenly spaced demands first; any true-after-false
-    pattern is reported as a monotonicity violation instead of being
-    silently bisected over.  Returns the smallest eta seen false.
-    """
-    etas = np.linspace(0.0, 1.0, PRE_GRID)
-    results = [(float(e), predicate(float(e))) for e in etas]
-    first_false = next((k for k, (_, ok) in enumerate(results) if not ok), None)
-    if first_false is not None:
-        for e, ok in results[first_false + 1 :]:
-            if ok:
-                raise MonotonicityError(
-                    f"necessary predicate is non-monotone: true at eta={e} after false at "
-                    f"eta={results[first_false][0]}",
-                    (results[first_false][0], e),
-                )
-    if first_false == 0:
-        return 0.0
-    if first_false is None:
-        return 1.0
-    lo = results[first_false - 1][0]
-    hi = results[first_false][0]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: a tolerance below their spacing cannot be met
-            break
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     """Bracket the maximal sustainable demand for fixed capacities and faults.
 
@@ -447,22 +411,43 @@ def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     """
     p = validate_mode_probs(probs)
     lower, witness = _Searcher(params)(p)
-    upper = _necessary_upper(params, p, BISECT_TOL)
-    violation = _necessary(replace(params, eta=upper), p).first_violated()
+    upper, at_upper = _necessary_upper(params, p, BISECT_TOL)
     if lower > upper:
         raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
-    return ThroughputBounds(lower, upper, witness, violation)
+    return ThroughputBounds(lower, upper, witness, at_upper.first_violated())
 
 
 def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL) -> float:
     """Smallest demand at which the necessary test fails, to a finite ``tol > 0`` (demand in ``params`` ignored)."""
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    return _necessary_upper(params, validate_mode_probs(probs), tol)
+    return _necessary_upper(params, validate_mode_probs(probs), tol)[0]
 
 
-def _necessary_upper(params: NetworkParams, p: np.ndarray, tol: float) -> float:
-    return _bisect_predicate(lambda e: _necessary(replace(params, eta=e), p).holds, tol)
+def _necessary_upper(params: NetworkParams, p: np.ndarray, tol: float) -> tuple[float, NecessaryReport]:
+    """``(upper, report)``: a demand where the necessary test fails, at most ``tol`` above one where it holds.
+
+    The test holds at demand 0 (every floor and left side is 0) and fails at
+    1 (``eta < 1``), and it flips only once in between: each link's floor
+    rises with demand, so the share a faulty sensor routes onto the other
+    link, ``1 / (e^{-beta x} + 1)``, rises too, and so does each left side.
+    Every step of that chain is monotone in rounded arithmetic as well, so
+    one plain bisection on [0, 1] finds the flip.  It stops early only where
+    ``lo`` and ``hi`` are adjacent floats.  ``report`` is the test evaluated
+    at ``upper``.
+    """
+    lo, hi = 0.0, 1.0
+    report = _necessary(replace(params, eta=hi), p)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: a tolerance below their spacing cannot be met
+            break
+        at_mid = _necessary(replace(params, eta=mid), p)
+        if at_mid.holds:
+            lo = mid
+        else:
+            hi, report = mid, at_mid
+    return hi, report
 
 
 def mode_drift_maxima(params: NetworkParams, theta: tuple[float, float]) -> np.ndarray:

@@ -50,5 +50,6 @@ def test_run_prints_a_strict_json_result(workload):
     _run_and_check(workload, "0", "end_to_end")
 
 
-def test_traced_run_reports_every_layer_metric():
-    _run_and_check("certify", "1", "per_layer")
+@pytest.mark.parametrize("workload", ["certify", "curves"])
+def test_traced_run_reports_every_layer_metric(workload):
+    _run_and_check(workload, "1", "per_layer")

@@ -117,6 +117,11 @@ class TestFailureModel:
         for kappa in (0.1, 1.0, 7.3):
             assert np.allclose(stationary_distribution(rates_from_probs(probs, kappa)), probs, atol=1e-12)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_kappa_must_be_finite_and_positive(self, kappa):
+        with pytest.raises(ParameterError, match="kappa"):
+            rates_from_probs(np.full(4, 0.25), kappa)
+
 
 class TestHeteroBound:
     def test_equal_capacities(self):
@@ -196,8 +201,25 @@ class TestGPolynomial:
         assert np.allclose(g2, 2.0, atol=1e-12)
 
     def test_nonpositive_z_rejected(self):
-        with pytest.raises(ParameterError):
-            g_eval(GPolynomial(1.0, 0.5, 0.5), 0.0)
+        for z in (0.0, -0.5, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ParameterError):
+                g_eval(GPolynomial(1.0, 0.5, 0.5), z)
+
+    @pytest.mark.parametrize(
+        "beta, eta, name",
+        [
+            (math.nan, 0.5, "beta"),
+            (math.inf, 0.5, "beta"),
+            (0.0, 0.5, "beta"),
+            (-1.0, 0.5, "beta"),
+            (1.0, math.nan, "eta"),
+            (1.0, math.inf, "eta"),
+            (1.0, -0.1, "eta"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_parameters_rejected(self, beta, eta, name):
+        with pytest.raises(ParameterError, match=name):
+            GPolynomial(beta, eta, 0.5)
 
     @given(
         beta=st.floats(0.2, 5.0),

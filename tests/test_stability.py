@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from faultroute import (
     CertificateError,
     ErgodicityError,
-    MonotonicityError,
     NetworkParams,
     ParameterError,
     congestion_floors,
@@ -31,6 +30,7 @@ from faultroute import (
     validate_mode_probs,
     vector_field,
 )
+from faultroute import stability
 from faultroute.model import drift_field
 from faultroute.stability import (
     BISECT_TOL,
@@ -40,7 +40,6 @@ from faultroute.stability import (
     ZOOM_LEVELS,
     ZOOM_N,
     ThetaWitness,
-    _bisect_predicate,
     _drift_value,
     _excess_rates,
     _necessary_upper,
@@ -263,15 +262,6 @@ class TestThroughputBounds:
         tb = throughput_bounds(params_for(0.0), p)
         assert tb.lower >= 1.0 - 2e-3
         assert tb.upper == 1.0
-
-    def test_non_monotone_predicate_raises(self):
-        def bad(eta):
-            return eta < 0.3 or 0.5 < eta < 0.7
-
-        with pytest.raises(MonotonicityError) as err:
-            _bisect_predicate(bad, 1e-4)
-        lo, hi = err.value.eta_pair
-        assert lo < hi
 
 
 class TestNecessaryUpperBound:
@@ -659,7 +649,8 @@ class TestPrunedSearch:
         params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
         p = mode_probs(seed, zeros)
         tb = throughput_bounds(params, p)
-        assert tb.upper == _necessary_upper(params, p, BISECT_TOL)
+        upper, at_upper = _necessary_upper(params, p, BISECT_TOL)
+        assert (tb.upper, tb.upper_violation) == (upper, at_upper.first_violated())
         w = sufficient_search(params, p)
         if tb.lower_witness is None:
             assert tb.lower == 0.0 and w is None
@@ -703,3 +694,81 @@ class TestVerdictMatchesBounds:
         assert (verdict.classification == "certified-stable") == (eta <= tb.lower and tb.lower_witness is not None)
         if verdict.witness is not None:
             assert verdict.witness.theta == tb.lower_witness.theta
+
+
+def pre_grid_bisection(holds, tol):
+    """The necessary bisection as it was before 0.7.0: 11 demands probed on [0, 1] first."""
+    results = [(float(e), holds(float(e))) for e in np.linspace(0.0, 1.0, 11)]
+    first_false = next((k for k, (_, ok) in enumerate(results) if not ok), None)
+    if first_false is not None:
+        assert not any(ok for _, ok in results[first_false + 1 :]), results
+    if first_false == 0:
+        return 0.0
+    if first_false is None:
+        return 1.0
+    lo = results[first_false - 1][0]
+    hi = results[first_false][0]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def assert_upper_contract(params, p, upper):
+    """``upper`` fails the necessary test, and the test holds ``BISECT_TOL`` below it."""
+    assert not necessary_condition(replace(params, eta=upper), p).holds
+    assert necessary_condition(replace(params, eta=max(0.0, upper - BISECT_TOL)), p).holds
+
+
+class TestNecessaryBisection:
+    """``upper`` is one plain bisection of the necessary test, which is monotone in demand."""
+
+    @given(F1=capacities, beta=betas, seed=seeds, zeros=zero_modes, e=st.floats(0.0, 1.2), e2=st.floats(0.0, 1.2))
+    @settings(max_examples=300, deadline=None)
+    def test_holding_at_a_demand_implies_holding_below_it(self, F1, beta, seed, zeros, e, e2):
+        lo, hi = sorted((e, e2))
+        p = mode_probs(seed, zeros)
+        at_lo = necessary_condition(NetworkParams(F1, 1.0 - F1, beta, lo), p)
+        at_hi = necessary_condition(NetworkParams(F1, 1.0 - F1, beta, hi), p)
+        if at_hi.holds:
+            assert at_lo.holds
+        # the argument behind it, step by step in rounded arithmetic
+        assert all(a <= b for a, b in zip(at_lo.floors, at_hi.floors))
+        assert all(a >= b for a, b in zip(at_lo.slacks, at_hi.slacks))
+
+    @given(F1=capacities, beta=betas, seed=seeds, zeros=zero_modes)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_pre_grid_bisection(self, F1, beta, seed, zeros):
+        params = NetworkParams(F1, 1.0 - F1, beta, 0.0)
+        p = mode_probs(seed, zeros)
+        old = pre_grid_bisection(lambda e: necessary_condition(replace(params, eta=e), p).holds, BISECT_TOL)
+        new = necessary_upper_bound(params, p)
+        assert abs(new - old) <= BISECT_TOL
+        assert_upper_contract(params, p, old)
+        assert_upper_contract(params, p, new)
+
+    @given(F1=capacities, beta=betas, seed=seeds, zeros=zero_modes)
+    @settings(max_examples=50, deadline=None)
+    def test_violation_is_read_at_upper(self, F1, beta, seed, zeros):
+        params = NetworkParams(F1, 1.0 - F1, beta, 0.0)
+        p = mode_probs(seed, zeros)
+        tb = throughput_bounds(params, p)
+        assert tb.upper == necessary_upper_bound(params, p)
+        assert tb.upper_violation == necessary_condition(replace(params, eta=tb.upper), p).first_violated()
+
+    def test_bounds_evaluate_the_test_fifteen_times(self, monkeypatch):
+        calls = []
+        original = stability._necessary
+
+        def counted(params, p):
+            calls.append(params.eta)
+            return original(params, p)
+
+        monkeypatch.setattr(stability, "_necessary", counted)
+        throughput_bounds(NetworkParams(0.7, 0.3, 3.0, 0.0), UNIFORM)
+        assert len(calls) == 15
