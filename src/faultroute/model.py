@@ -91,6 +91,12 @@ def check_densities(x, name: str) -> None:
             raise ParameterError(f"{name} must be finite and nonnegative, got {x}")
 
 
+def check_integer(n, name: str, least: int) -> None:
+    """Reject ``n`` unless it is an integer (not a bool) of at least ``least``; the error names the argument."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {n!r}")
+
+
 def fault_map(s: int, x: tuple[float, float]) -> tuple[float, float]:
     """Observed densities in mode ``s``: a down sensor reads zero."""
     check_mode(s, "s")

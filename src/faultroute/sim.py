@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .model import OBSERVED, NetworkParams, check_densities, check_mode, validate_rate_matrix
+from .model import OBSERVED, NetworkParams, check_densities, check_integer, check_mode, validate_rate_matrix
 from .stability import congestion_floors
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -60,6 +60,7 @@ class SimConfig:
                 f"need 0 < step <= sample_interval < inf, got step={self.step}, "
                 f"sample_interval={self.sample_interval}"
             )
+        check_integer(self.seed, "seed", 0)
         check_mode(self.s0, "initial mode")
         if self.x0 is not None:
             check_densities(self.x0, "initial densities")
@@ -361,6 +362,7 @@ def occupancy_batches(traj: Trajectory, n_batches: int) -> np.ndarray:
     Reconstructed from the jump log, so batch boundaries need not align with
     sample times.  Rows sum to 1; used for batch-means error bars.
     """
+    check_integer(n_batches, "n_batches", 1)
     edges = np.linspace(0.0, traj.elapsed, n_batches + 1)
     starts = np.concatenate([[0.0], traj.jump_times])
     modes = np.concatenate([[traj.initial_mode], traj.jump_modes]).astype(int)
@@ -398,8 +400,7 @@ class ProbeResult:
 
 def _replication_seeds(seed: int, replications: int) -> list[int]:
     """Seed of each replication: its own ``SeedSequence`` child of ``seed``."""
-    if replications < 1:
-        raise ParameterError("need at least one replication")
+    check_integer(replications, "replications", 1)
     children = np.random.SeedSequence(seed).spawn(replications)
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]
 

@@ -21,12 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificateError, ErgodicityError, NumericsError, ParameterError
+from .errors import CertificateError, ErgodicityError, NumericsError
 from .model import (
     DriftField,
     NetworkParams,
     _field,
     check_densities,
+    check_integer,
     check_mode,
     drift_field,
     generator_matrix,
@@ -60,10 +61,7 @@ class NecessaryReport:
     floors: tuple[float, float]
 
     def first_violated(self) -> str | None:
-        for name, ok in zip(_INEQUALITY_NAMES, self.inequality_holds):
-            if not ok:
-                return name
-        return None
+        return next((name for name, ok in zip(_INEQUALITY_NAMES, self.inequality_holds) if not ok), None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,25 +148,32 @@ def solve_congestion_floor(params: NetworkParams, k: int) -> float:
     if cap == 0.0:
         return math.inf
 
-    def gap(x: float) -> float:
+    def filling(x: float) -> bool:
         e = math.exp(-beta * x)
-        return eta * e / (1.0 + e) - cap * -math.expm1(-x)
+        return eta * e / (1.0 + e) - cap * -math.expm1(-x) > 0.0
 
     hi = X_CAP
-    while gap(hi) > 0.0:  # tiny beta flattens the inflow side; widen until bracketed
+    while filling(hi):  # tiny beta flattens the inflow side; widen until bracketed
         hi *= 2.0
         if hi > 1e12:
             return math.inf
-    lo = 0.0
-    while hi - lo > FLOOR_X_TOL:
+    return 0.5 * sum(_bisect(filling, 0.0, hi, FLOOR_X_TOL))
+
+
+def _bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve ``[lo, hi]``, where ``below`` holds at ``lo`` and fails at ``hi``, to width ``tol``.
+
+    Stops early where ``lo`` and ``hi`` are adjacent floats (floors past ~8e3); returns ``(lo, hi)``.
+    """
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats further apart than the tolerance (floors past ~8e3)
+        if mid == lo or mid == hi:
             break
-        if gap(mid) > 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def congestion_floors(params: NetworkParams) -> tuple[float, float]:
@@ -411,43 +416,27 @@ def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     """
     p = validate_mode_probs(probs)
     lower, witness = _Searcher(params)(p)
-    upper, at_upper = _necessary_upper(params, p, BISECT_TOL)
+    upper = _necessary_upper(params, p)
     if lower > upper:
         raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")
-    return ThroughputBounds(lower, upper, witness, at_upper.first_violated())
+    return ThroughputBounds(lower, upper, witness, _necessary(replace(params, eta=upper), p).first_violated())
 
 
-def necessary_upper_bound(params: NetworkParams, probs, tol: float = BISECT_TOL) -> float:
-    """Smallest demand at which the necessary test fails, to a finite ``tol > 0`` (demand in ``params`` ignored)."""
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
-    return _necessary_upper(params, validate_mode_probs(probs), tol)[0]
+def necessary_upper_bound(params: NetworkParams, probs) -> float:
+    """Smallest demand at which the necessary test fails, to ``BISECT_TOL`` (demand in ``params`` ignored)."""
+    return _necessary_upper(params, validate_mode_probs(probs))
 
 
-def _necessary_upper(params: NetworkParams, p: np.ndarray, tol: float) -> tuple[float, NecessaryReport]:
-    """``(upper, report)``: a demand where the necessary test fails, at most ``tol`` above one where it holds.
+def _necessary_upper(params: NetworkParams, p: np.ndarray) -> float:
+    """A demand where the necessary test fails, at most ``BISECT_TOL`` above one where it holds.
 
-    The test holds at demand 0 (every floor and left side is 0) and fails at
-    1 (``eta < 1``), and it flips only once in between: each link's floor
-    rises with demand, so the share a faulty sensor routes onto the other
-    link, ``1 / (e^{-beta x} + 1)``, rises too, and so does each left side.
-    Every step of that chain is monotone in rounded arithmetic as well, so
-    one plain bisection on [0, 1] finds the flip.  It stops early only where
-    ``lo`` and ``hi`` are adjacent floats.  ``report`` is the test evaluated
-    at ``upper``.
+    The test holds at demand 0 and fails at 1 (``eta < 1``), and it flips
+    once in between: each link's floor rises with demand, so the share
+    ``1 / (e^{-beta x} + 1)`` a faulty sensor routes onto the other link rises,
+    and so does each left side, in rounded arithmetic too.  So one plain
+    bisection on [0, 1] finds the flip, in 14 evaluations.
     """
-    lo, hi = 0.0, 1.0
-    report = _necessary(replace(params, eta=hi), p)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: a tolerance below their spacing cannot be met
-            break
-        at_mid = _necessary(replace(params, eta=mid), p)
-        if at_mid.holds:
-            lo = mid
-        else:
-            hi, report = mid, at_mid
-    return hi, report
+    return _bisect(lambda eta: _necessary(replace(params, eta=eta), p).holds, 0.0, 1.0, BISECT_TOL)[1]
 
 
 def mode_drift_maxima(params: NetworkParams, theta: tuple[float, float]) -> np.ndarray:
@@ -563,6 +552,7 @@ def invariant_set_check(
     collected rather than raised.
     """
     check_densities(floors, "floors")
+    check_integer(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     hi1 = 1.5 * floors[0] + 1.0
     hi2 = 1.5 * floors[1] + 1.0

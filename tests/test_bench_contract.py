@@ -9,12 +9,15 @@ A traced run (``--trace 1``) wraps the package's public functions and reports
 the per-layer metrics instead, so a change to those functions shows up there.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from faultroute.stability import BISECT_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +56,10 @@ def test_run_prints_a_strict_json_result(workload):
 @pytest.mark.parametrize("workload", ["certify", "curves"])
 def test_traced_run_reports_every_layer_metric(workload):
     _run_and_check(workload, "1", "per_layer")
+
+
+def test_bench_restates_the_package_bracket_width(monkeypatch):
+    # the certify and curves checks accept an upper up to BISECT_TOL above the
+    # reference flip; a width that drifted from the package's would loosen or break them
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    assert importlib.import_module("workloads").BISECT_TOL == BISECT_TOL

@@ -377,6 +377,14 @@ class TestSimulate:
         meta = json.loads((tmp_path / "s" / "metadata.json").read_text())
         assert meta["summary"]["seed"] == 99
 
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_negative_seed_override_exits_one(self, tmp_path, capsys, command):
+        cfg = self.sim_config(tmp_path)
+        code, out, err = run(capsys, ["--quiet", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path), command])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: seed must be")
+
     def test_simulate_without_sim_section_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code, _, err = run(capsys, ["--quiet", "--config", str(cfg), "simulate"])

@@ -72,6 +72,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            SimConfig(horizon=10.0, seed=seed)
+
     @pytest.mark.parametrize(
         "s, x0, duration, step",
         [
@@ -262,6 +267,11 @@ class TestJumpStatistics:
         assert traj.mode_occupancy.sum() == pytest.approx(1.0, abs=1e-9)
         batches = occupancy_batches(traj, 30)
         assert np.allclose(batches.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_batches", [0, -1, 2.5, None, True])
+    def test_batch_count_must_be_a_positive_integer(self, traj, n_batches):
+        with pytest.raises(ParameterError, match="n_batches"):
+            occupancy_batches(traj, n_batches)
 
 
 class TestStabilityProbe:

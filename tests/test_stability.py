@@ -31,6 +31,7 @@ from faultroute import (
     vector_field,
 )
 from faultroute import stability
+from faultroute.bounds import hetero_upper_reference, necessary_upper_curve
 from faultroute.model import drift_field
 from faultroute.stability import (
     BISECT_TOL,
@@ -42,7 +43,6 @@ from faultroute.stability import (
     ThetaWitness,
     _drift_value,
     _excess_rates,
-    _necessary_upper,
     _Searcher,
     zoom_min,
 )
@@ -269,25 +269,12 @@ class TestNecessaryUpperBound:
         # independent closed form of the binding capacity inequality
         for dF, expected in [(0.5, 0.880367), (0.75, 0.469108)]:
             params = params_for(0.0, F1=(1.0 + dF) / 2.0)
-            up = necessary_upper_bound(params, UNIFORM, tol=1e-6)
+            up = necessary_upper_bound(params, UNIFORM)
             assert up == pytest.approx(expected, abs=1e-5)
 
     def test_no_gap_no_capacity(self):
         params = NetworkParams(F1=1.0, F2=0.0, beta=1.0, eta=0.0)
         assert necessary_upper_bound(params, UNIFORM) <= 1e-3
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, -math.inf])
-    def test_bad_tolerance_rejected(self, tol):
-        with pytest.raises(ParameterError, match="tol"):
-            necessary_upper_bound(NetworkParams(0.6, 0.4, 1.0, 0.0), UNIFORM, tol=tol)
-
-    @pytest.mark.parametrize("F1", [0.6, 0.75, 0.9])
-    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self, F1):
-        params = NetworkParams(F1, 1.0 - F1, 1.0, 0.0)
-        up = necessary_upper_bound(params, UNIFORM, tol=1e-20)
-        assert not necessary_condition(replace(params, eta=up), UNIFORM).holds
-        assert necessary_condition(replace(params, eta=math.nextafter(up, 0.0)), UNIFORM).holds
-        assert abs(up - necessary_upper_bound(params, UNIFORM)) <= BISECT_TOL
 
 
 class TestLyapunovCertificate:
@@ -372,6 +359,11 @@ class TestInvariantSet:
     def test_requires_finite_floors(self):
         with pytest.raises(ParameterError):
             invariant_set_check(params_for(0.5), (math.inf, 1.0), samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, None, True])
+    def test_sample_count_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ParameterError, match="samples"):
+            invariant_set_check(params_for(0.5), (0.5, 0.5), samples)
 
 
 class TestVerdict:
@@ -649,7 +641,8 @@ class TestPrunedSearch:
         params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=eta)
         p = mode_probs(seed, zeros)
         tb = throughput_bounds(params, p)
-        upper, at_upper = _necessary_upper(params, p, BISECT_TOL)
+        upper = necessary_upper_bound(params, p)
+        at_upper = necessary_condition(replace(params, eta=upper), p)
         assert (tb.upper, tb.upper_violation) == (upper, at_upper.first_violated())
         w = sufficient_search(params, p)
         if tb.lower_witness is None:
@@ -772,3 +765,79 @@ class TestNecessaryBisection:
         monkeypatch.setattr(stability, "_necessary", counted)
         throughput_bounds(NetworkParams(0.7, 0.3, 3.0, 0.0), UNIFORM)
         assert len(calls) == 15
+
+    def test_upper_bound_evaluates_the_test_fourteen_times(self, monkeypatch):
+        calls = []
+        original = stability._necessary
+
+        def counted(params, p):
+            calls.append(params.eta)
+            return original(params, p)
+
+        monkeypatch.setattr(stability, "_necessary", counted)
+        necessary_upper_bound(NetworkParams(0.7, 0.3, 3.0, 0.0), UNIFORM)
+        assert len(calls) == 14
+
+
+def flip_demand(F_read, F_other, share, p4, beta):
+    """Demand at which the capacity inequality that reads the floor of the link with capacity ``F_read`` fails.
+
+    At demand ``eta_k(x) = F_read (1 - e^{-x}) (1 + e^{beta x})`` that floor is
+    ``x``, and the inequality's left side is ``F_read (1 - e^{-x})
+    ((share + p4/2) e^{beta x} + p4/2)``, increasing in ``x``; its root where it
+    meets ``F_other`` is bisected in ``x``, with ``beta x`` capped at 700.  With
+    no root the flip is infinite.  (A zero ``F_read`` makes the left side 0
+    here, which is exact only when ``F_other = 1``, as in ``network_mix``.)
+    """
+
+    def lhs(x):
+        return F_read * -math.expm1(-x) * ((share + 0.5 * p4) * math.exp(beta * x) + 0.5 * p4)
+
+    lo, hi = 0.0, 700.0 / beta
+    if lhs(hi) <= F_other:
+        return math.inf
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if lhs(mid) <= F_other:
+            lo = mid
+        else:
+            hi = mid
+    return F_read * -math.expm1(-hi) * (1.0 + math.exp(beta * hi))
+
+
+def exact_upper(params, p):
+    """``upper`` without nested solves: the smaller flip of the two capacity inequalities, capped at 1."""
+    F1, F2, beta = params.F1, params.F2, params.beta
+    return min(1.0, flip_demand(F2, F1, p[1], p[3], beta), flip_demand(F1, F2, p[2], p[3], beta))
+
+
+def network_mix(n, seed):
+    """Capacities 0 or 1 with probability 0.1 each, else uniform; ``beta`` log-uniform on [1e-3, 500];
+    Dirichlet(1) faults with 0-2 modes switched off."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        u = rng.random()
+        F1 = 0.0 if u < 0.1 else 1.0 if u < 0.2 else float(rng.random())
+        beta = float(np.exp(rng.uniform(math.log(1e-3), math.log(500.0))))
+        p = rng.dirichlet(np.ones(4))
+        p[rng.choice(4, size=int(rng.integers(0, 3)), replace=False)] = 0.0
+        yield NetworkParams(F1, 1.0 - F1, beta, 0.0), p / p.sum()
+
+
+class TestExactFlip:
+    """``upper`` against the necessary test's flip demand, found by inverting the floor map."""
+
+    def test_bisected_upper_sits_within_one_bracket_above_the_flip(self):
+        for params, p in network_mix(300, 123):
+            flip = exact_upper(params, p)
+            upper = necessary_upper_bound(params, p)
+            assert flip - 1e-9 <= upper <= flip + 2.0**-14 + 1e-9, (params, p, flip, upper)
+
+    def test_flip_at_unit_beta_is_the_reference_curve(self):
+        for dF, upper in necessary_upper_curve():
+            reference = hetero_upper_reference(dF)
+            flip = exact_upper(NetworkParams((1.0 + dF) / 2.0, (1.0 - dF) / 2.0, 1.0, 0.0), UNIFORM)
+            assert flip == pytest.approx(reference, abs=1e-12)
+            assert reference - 1e-9 <= upper <= reference + 2.0**-14 + 1e-9, (dF, reference, upper)
