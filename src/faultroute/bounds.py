@@ -36,6 +36,7 @@ G_GRID = 10_000  # points of (0, 1] that g_monotonicity_check samples
 CURVE_POINTS = 101  # rows of each figure curve
 CURVE_P = 0.5  # failure probability of the correlation sweep
 UNIFORM = np.full(4, 0.25)  # mode law of the capacity-gap sweep, which runs at beta = 1
+SWEEP_N = 400  # log-spaced z of each witness sweep before refinement
 
 
 @dataclass(frozen=True)
@@ -269,25 +270,24 @@ def _family_drift(params: NetworkParams, p: np.ndarray, y_of_z, t: np.ndarray) -
     return drift_field(params, -np.log(y), t).averaged(params.eta, p)
 
 
-def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_lo: float, z_hi: float, n: int = 400):
-    """Minimize the averaged drift along a one-parameter (y(z), z) family.
+def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_hi: float):
+    """The one sweep of a ``hetero_witness`` construction: the least drift along ``(y(z), z)``.
 
-    The ``n`` log-spaced values of ``z`` are scored in one ``_family_drift``
-    call, and ``zoom_min`` refines the best one in ``t = -log z``, one call
-    per refinement grid.  Returns the chosen ``theta`` as Python floats,
-    computed on the scalar path; the caller re-checks it with
-    ``sufficient_value``.
+    ``SWEEP_N`` log-spaced ``z`` in ``[Z_FLOOR, z_hi]`` are scored in one
+    ``_family_drift`` call, and ``zoom_min`` refines the best one in
+    ``t = -log z``, one call per refinement grid.  Returns the chosen
+    ``theta`` as Python floats, computed on the scalar path; the caller
+    re-checks it with ``sufficient_value``.
     """
-    z_lo = max(z_lo, Z_FLOOR)
-    z_hi = max(min(z_hi, 1.0), z_lo)
+    z_hi = max(min(z_hi, 1.0), Z_FLOOR)
 
     def values(ts: np.ndarray) -> np.ndarray:
         return _family_drift(params, p, y_of_z, ts)
 
-    ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
-    t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
+    ts = -np.log(np.logspace(math.log10(Z_FLOOR), math.log10(z_hi), SWEEP_N))
+    t_lo, t_hi = -math.log(z_hi), -math.log(Z_FLOOR)
     best = float(ts[int(np.argmin(values(ts)))])
-    t = float(zoom_min(values, [best], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0])
+    t = float(zoom_min(values, [best], (t_hi - t_lo) / (SWEEP_N - 1), min(t_lo, best), max(t_hi, best))[0])
     y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
     return -math.log(y), t
 
@@ -295,13 +295,13 @@ def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_lo: float, z_hi: fl
 def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> ThetaWitness:
     """Construct a certificate for a demand below the unequal-capacity bound.
 
-    Follows the two intermediate-value constructions: when demand is below
-    the capacity gap, fix ``y`` at ``1 - (eta + F2)/F1`` (which forces the
-    slower link to dominate every mode's max) and search along ``z``;
-    otherwise fix the routing-asymmetry ratio just under ``gap/eta`` and
-    search along ``z`` inside the window where the gap constraints hold.
-    Each sweep scores its candidates on the ``drift_field`` kernel; every
-    candidate ``theta`` is then re-checked with ``sufficient_value`` on the
+    Follows the two intermediate-value constructions, one sweep along ``z``
+    each: when demand is below the capacity gap, fix ``y`` at
+    ``1 - (eta + F2)/F1`` (which forces the slower link to dominate every
+    mode's max); otherwise fix ``y / z = ((1 + rho)/(1 - rho))^(1/beta)``
+    with ``rho`` just under ``gap/eta`` (the ratio is 1 at equal capacities)
+    and sweep ``z`` up to where ``y`` reaches 1.
+    The sweep's ``theta`` is re-checked with ``sufficient_value`` on the
     caller's ``probs`` and must beat ``-STRICT_DRIFT``, and the witness
     carries that value.  If the construction misses, the generic
     two-dimensional ``sufficient_search`` is the fallback.
@@ -325,40 +325,28 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     if eta >= bound:
         raise ParameterError(f"demand {eta} is not below the certified bound {bound}")
 
-    thetas: list[tuple[float, float]] = []
     if eta == 0.0:
-        thetas.append((1e-6, 1e-6))
+        theta = (1e-6, 1e-6)
     elif eta < dF:
         # slower link dominates each mode's max for every z at this y
         y_cap = 1.0 - (eta + params.F2) / params.F1
-        thetas.append(_sweep_z(params, p, lambda z: y_cap, Z_FLOOR, 1.0))
+        theta = _sweep_z(params, p, lambda z: y_cap, 1.0)
     else:
         rho = 0.99 * min(1.0, dF / eta)
         ratio = (1.0 + rho) / (1.0 - rho)
         # from log m = 700 on, every y = m z clips to 1 as it would for m = inf, and the power may overflow
         m = ratio ** (1.0 / params.beta) if math.log(ratio) < 700.0 * params.beta else math.inf
-        if dF == 0.0:
-            thetas.append(_sweep_z(params, p, lambda z: z, Z_FLOOR, 1.0))
-        else:
-            denom = m * params.F1 - params.F2
-            z_lo = (1.0 - rho) * dF / denom
-            z_hi = min(dF / denom, 1.0 / m)
-            if z_lo <= z_hi:
-                thetas.append(_sweep_z(params, p, lambda z: m * z, z_lo, z_hi))
-            thetas.append(_sweep_z(params, p, lambda z: m * z, Z_FLOOR, 1.0 / m))
+        theta = _sweep_z(params, p, lambda z: m * z, 1.0 / m)
 
-    candidates = [(theta, sufficient_value(params, probs, theta)) for theta in thetas]
-    for theta, value in candidates:
-        if value < -STRICT_DRIFT:
-            return ThetaWitness(theta, value)
-
+    drift = sufficient_value(params, probs, theta)
+    if drift < -STRICT_DRIFT:
+        return ThetaWitness(theta, drift)
     fallback = sufficient_search(params, probs)
     if fallback is not None:
         return fallback
-    best = min(candidates, key=lambda t: t[1]) if candidates else None
     raise WitnessError(
-        f"no witness found below the bound (eta={eta}, dF={dF}, best drift="
-        f"{best[1] if best else 'n/a'}); construction and fallback disagree with the bound"
+        f"no witness found below the bound (eta={eta}, dF={dF}, construction drift={drift}); "
+        "construction and fallback disagree with the bound"
     )
 
 

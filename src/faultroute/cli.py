@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
 EXIT_INDETERMINATE = 3
+SCAN_GRID = [round(0.1 * k, 10) for k in range(1, 12)]  # scan's demand grid when the config gives none
 
 _SIM_TYPES = get_type_hints(SimConfig)
 
@@ -143,17 +144,20 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 
 
 def _float(value, key: str) -> float:
-    """``float(value)``, or ``ParameterError`` naming the config ``key``."""
+    """``float(value)``, or ``ParameterError`` naming the config ``key``; a bool is not a number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("expected a number, not a bool")
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"config key '{key}' has a bad value {value!r}: {exc}") from exc
 
 
 def _sim_config(raw: dict) -> SimConfig:
-    """``SimConfig`` from a ``sim`` mapping, each value cast to its field's type.
+    """``SimConfig`` from a ``sim`` mapping, each value read as its field's type.
 
-    Absent keys take the dataclass defaults; unknown keys are ignored.  A
+    Absent keys take the dataclass defaults; unknown keys are ignored.  An
+    integer field takes only a JSON integer, so no value is truncated.  A
     missing required key or a value of the wrong shape raises
     ``ParameterError`` naming the key.
     """
@@ -163,13 +167,15 @@ def _sim_config(raw: dict) -> SimConfig:
             if f.default is MISSING:
                 raise ParameterError(f"sim is missing required key '{f.name}'")
             continue
-        value = raw[f.name]
+        value, kind = raw[f.name], _SIM_TYPES[f.name]
         try:
+            if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+                raise TypeError(f"expected {'an integer' if kind is int else 'a number'}")
             if f.name != "x0":
-                kwargs[f.name] = _SIM_TYPES[f.name](value)
+                kwargs[f.name] = kind(value)
             elif value is None:
                 kwargs["x0"] = None
-            elif isinstance(value, (list, tuple)) and len(value) == 2:
+            elif isinstance(value, (list, tuple)) and len(value) == 2 and not any(isinstance(v, bool) for v in value):
                 kwargs["x0"] = (float(value[0]), float(value[1]))
             else:
                 raise TypeError("expected a list of two numbers or null")
@@ -190,10 +196,20 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_json(path: Path, payload, default=float) -> None:
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as strict JSON: a float that is not finite (a NaN slope, say) is written as ``null``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=default)
+        json.dump(_finite_or_null(payload), fh, indent=2, default=float, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(obj):
+    """``obj`` with each float in it, in dicts and lists too, that is not finite replaced by ``None``."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_metadata(out_dir: Path, command: str, config: ExperimentConfig | None, started: float, extra: dict) -> None:
@@ -297,7 +313,7 @@ def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path,
 def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path, started: float) -> int:
     if cfg.sim is None:
         raise ParameterError("scan requires a 'sim' section in the config")
-    grid = cfg.eta_grid if cfg.eta_grid is not None else [round(0.1 * k, 10) for k in range(1, 12)]
+    grid = cfg.eta_grid if cfg.eta_grid is not None else SCAN_GRID
     result = throughput_scan(cfg.params, cfg.rates, cfg.sim, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -306,18 +322,12 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path, sta
     ]
     path = out_dir / "scan.csv"
     _write_csv(path, "eta,verdict,n_diverged,median_avg_slope,median_growth_slope", rows)
-    _write_json(out_dir / "scan.json", result.to_dict(), default=_json_default)
+    _write_json(out_dir / "scan.json", result.to_dict())
     window = [result.largest_stable, result.smallest_unstable]
     _write_metadata(out_dir, "scan", cfg, started, {"transition_window": window})
     if not args.quiet:
         print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
-
-
-def _json_default(obj):
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return float(obj)
 
 
 # command -> (handler, whether it needs --config, output directory without --out);

@@ -163,15 +163,13 @@ class DriftField:
 
     ``shares[s]`` holds both links' routing shares ``(mu1, mu2)`` in mode
     ``s + 1`` for modes 1-3; mode 4 splits evenly.  ``mode_drift`` and
-    ``averaged`` are built on ``link_drift``; ``fmin``, the smaller outflow,
-    serves ``critical_demand`` and the search's block bounds.  All arrays
-    broadcast against each other, so one field serves every demand.
+    ``averaged`` are built on ``link_drift``.  All arrays broadcast against
+    each other, so one field serves every demand.
     """
 
     shares: tuple
     f1: np.ndarray
     f2: np.ndarray
-    fmin: np.ndarray
 
     def link_drift(self, eta: float) -> list:
         """Per-mode ``(eta * mu_1 - f_1, eta * mu_2 - f_2)``, modes 1-4."""
@@ -197,11 +195,11 @@ class DriftField:
         Each choice of worst link in modes 1-3 gives a line ``eta * A - B``,
         and the drift is the largest of the eight.  So the answer is the
         least ``(B - margin) / A`` (``0 / 0``, a flat line at ``-margin``, is
-        NaN and skipped by ``fmin``).  Every step is ``* p_s >= 0``, ``+``,
+        NaN and skipped by ``np.fmin``).  Every step is ``* p_s >= 0``, ``+``,
         ``/`` of a nonnegative numerator or ``min``; rounded to nearest, each
         is monotone, so smaller shares and larger outflows never lower it.
         """
-        lines = [(0.5 * p[3], p[3] * self.fmin - margin)]
+        lines = [(0.5 * p[3], p[3] * np.minimum(self.f1, self.f2) - margin)]
         for (mu1, mu2), ps in zip(self.shares, p[:3]):
             terms = ((ps * mu1, ps * self.f1), (ps * mu2, ps * self.f2))
             lines = [(a + da, b + db) for a, b in lines for da, db in terms]
@@ -227,7 +225,7 @@ def drift_field(params: NetworkParams, x1, x2) -> DriftField:
         gap = (x1 if see1 else 0.0) - (x2 if see2 else 0.0)  # observed o1 - o2
         mu1 = np.exp(-np.logaddexp(0.0, params.beta * gap))
         shares.append((mu1, 1.0 - mu1))
-    return DriftField(tuple(shares), f1, f2, np.minimum(f1, f2))
+    return DriftField(tuple(shares), f1, f2)
 
 
 def validate_rate_matrix(rates, require_irreducible: bool = True) -> np.ndarray:

@@ -422,8 +422,9 @@ def stability_probe(
     seeds = _replication_seeds(cfg.seed, replications)
     runs = [simulate(params, rates, replace(cfg, seed=seed)) for seed in seeds]
     n_div = sum(r.diverged for r in runs)
-    med_avg = float(np.nanmedian([r.avg_slope() for r in runs]))
-    med_growth = float(np.nanmedian([r.growth_slope() for r in runs]))
+    slopes = np.array([(r.avg_slope(), r.growth_slope()) for r in runs]).T
+    # every slope is NaN under 4 samples: the median is NaN then, without nanmedian's warning
+    med_avg, med_growth = (float(np.nanmedian(v)) if not np.isnan(v).all() else math.nan for v in slopes)
     if n_div == 0 and med_avg < SLOPE_THRESHOLD:
         verdict = "empirically-stable"
     elif n_div > len(runs) // 2 or med_avg > 10.0 * SLOPE_THRESHOLD:

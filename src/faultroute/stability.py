@@ -256,7 +256,6 @@ def _block_bounds(field: DriftField) -> DriftField:
         tuple((mu1.min(axis=inner), mu2.min(axis=inner)) for mu1, mu2 in field.shares),
         field.f1.max(axis=inner),
         field.f2.max(axis=inner),
-        field.fmin.max(axis=inner),
     )
 
 
@@ -270,7 +269,6 @@ def _take_blocks(field: DriftField, bi: np.ndarray, bj: np.ndarray) -> DriftFiel
         tuple((take(mu1), take(mu2)) for mu1, mu2 in field.shares),
         take(field.f1),
         take(field.f2),
-        take(field.fmin),
     )
 
 
@@ -553,6 +551,7 @@ def invariant_set_check(
     """
     check_densities(floors, "floors")
     check_integer(samples, "samples", 1)
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     hi1 = 1.5 * floors[0] + 1.0
     hi2 = 1.5 * floors[1] + 1.0

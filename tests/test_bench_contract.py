@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from faultroute.stability import BISECT_TOL
+from faultroute.cli import SCAN_GRID
+from faultroute.stability import BISECT_TOL, STRICT_DRIFT
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,3 +64,15 @@ def test_bench_restates_the_package_bracket_width(monkeypatch):
     # reference flip; a width that drifted from the package's would loosen or break them
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     assert importlib.import_module("workloads").BISECT_TOL == BISECT_TOL
+
+
+def test_bench_restates_the_package_drift_margin(monkeypatch):
+    # the reference re-checks witnesses below -STRICT_DRIFT; another margin would pass or fail other witnesses
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    assert importlib.import_module("reference").STRICT_DRIFT == STRICT_DRIFT
+
+
+def test_bench_scans_the_cli_default_grid(monkeypatch):
+    # the scan workload stands for `faultroute scan` without an eta_grid
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    assert importlib.import_module("workloads").SCAN_GRID == SCAN_GRID

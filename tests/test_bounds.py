@@ -375,7 +375,7 @@ def scalar_sweep_z(params, p, y_of_z, z_lo, z_hi, n=400):
 
 @st.composite
 def sweep_cases(draw):
-    """A network, symmetric mode probabilities and one of ``hetero_witness``'s (y(z), window) sweeps."""
+    """A network, symmetric mode probabilities and one of ``hetero_witness``'s ``(y(z), z_hi)`` sweeps."""
     F1 = draw(st.floats(0.5, 1.0))
     F2 = 1.0 - F1
     dF = F1 - F2
@@ -383,26 +383,21 @@ def sweep_cases(draw):
     a, b, c = (draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))) for _ in range(3))
     assume(a + b + c > 0.0)
     p = validate_mode_probs(np.array([a, b, b, c]) / (a + 2.0 * b + c))
-    family = draw(st.sampled_from(("capped", "equal", "ratio", "ratio-window")))
+    family = draw(st.sampled_from(("capped", "equal", "ratio")))
     if family == "capped":  # demand below the gap; y_cap down to 1e-12 exercises the clip at Z_FLOOR
         assume(dF > 0.0)
         eta = (1.0 - 10.0 ** draw(st.floats(-12.0, 0.0))) * dF
         y_cap = 1.0 - (eta + F2) / F1
-        sweep = (lambda z: y_cap, Z_FLOOR, 1.0)
+        sweep = (lambda z: y_cap, 1.0)
     elif family == "equal":
         eta = draw(st.floats(0.0, 1.0))
-        sweep = (lambda z: z, Z_FLOOR, 1.0)
+        sweep = (lambda z: z, 1.0)
     else:  # demand above the gap: y = m z
         eta = dF + draw(st.floats(0.0, 1.0)) * (1.0 - dF)
         assume(eta > 0.0)
         rho = 0.99 * min(1.0, dF / eta)
         m = math.exp(min(math.log((1.0 + rho) / (1.0 - rho)) / beta, 50.0))
-        if family == "ratio":
-            sweep = (lambda z: m * z, Z_FLOOR, 1.0 / m)
-        else:
-            assume(dF > 0.0)
-            denom = m * F1 - F2
-            sweep = (lambda z: m * z, (1.0 - rho) * dF / denom, min(dF / denom, 1.0 / m))
+        sweep = (lambda z: m * z, 1.0 / m)
     return NetworkParams(F1, F2, beta, eta), p, *sweep
 
 
@@ -410,10 +405,10 @@ class TestKernelSweep:
     @given(case=sweep_cases())
     @settings(max_examples=100, deadline=None)
     def test_matches_the_scalar_sweep(self, case):
-        params, p, y_of_z, z_lo, z_hi = case
-        theta_ref, drift_ref, ts, first_ref = scalar_sweep_z(params, p, y_of_z, z_lo, z_hi)
+        params, p, y_of_z, z_hi = case
+        theta_ref, drift_ref, ts, first_ref = scalar_sweep_z(params, p, y_of_z, Z_FLOOR, z_hi)
         np.testing.assert_allclose(_family_drift(params, p, y_of_z, ts), first_ref, rtol=0.0, atol=1e-12)
-        theta = _sweep_z(params, p, y_of_z, z_lo, z_hi)
+        theta = _sweep_z(params, p, y_of_z, z_hi)
         assert all(type(v) is float for v in theta)
         drift = _drift_value(params, p, theta)
         assert abs(drift - drift_ref) <= 1e-12, (theta, theta_ref)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from faultroute import stability
 from faultroute.cli import _CLASSIFICATION_EXIT, load_config, main, parse_config
+from faultroute.errors import ParameterError
 from faultroute.stability import stability_verdict, throughput_bounds
 
 
@@ -226,6 +228,31 @@ class TestConfigErrors:
         assert named in err
 
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"sim": {"horizon": 5, "seed": 3.7}}, "seed"),
+            ({"sim": {"horizon": 5, "seed": 3.0}}, "seed"),
+            ({"sim": {"horizon": 5, "s0": 2.9}}, "s0"),
+            ({"sim": {"horizon": 5, "seed": True}}, "seed"),
+            ({"sim": {"horizon": 5, "x0": [True, 0.0]}}, "x0"),
+            ({"F1": True}, "F1"),
+        ],
+    )
+    def test_no_silent_truncation_or_bool_number(self, overrides, key):
+        # these were read as seed 3, s0 2, seed 1, x0 (1, 0) and F1 1.0
+        with pytest.raises(ParameterError, match=f"'{key}'"):
+            parse_config({**NETWORK, **UNIFORM_CHAIN, **overrides})
+
+    def test_fractional_seed_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sim={"horizon": 5, "seed": 3.7})
+        code, out, err = run(capsys, ["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sim key 'seed'")
+        assert not (tmp_path / "out").exists()
+
+
 class TestChainInputs:
     def test_rates_chain(self, tmp_path, capsys):
         cfg = write_config(
@@ -408,3 +435,20 @@ class TestScan:
         scan = json.loads((out_dir / "scan.json").read_text())
         assert len(scan["rows"]) == 3
         assert scan["transition_window"][1] == 1.1
+
+    def test_short_horizon_writes_strict_json_without_warnings(self, tmp_path, capsys):
+        # under 4 samples every slope is NaN; json would write bare NaN tokens, and nanmedian would warn
+        cfg = write_config(tmp_path, sim={"horizon": 2.0, "step": 0.01, "seed": 0}, eta_grid=[0.5])
+        out_dir = tmp_path / "scan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, ["--quiet", "--config", str(cfg), "--out", str(out_dir), "scan"])
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} in scan.json")
+
+        row = json.loads((out_dir / "scan.json").read_text(), parse_constant=reject)["rows"][0]
+        assert row["median_avg_slope"] is None and row["median_growth_slope"] is None
+        assert all(run["avg_slope"] is None and run["growth_slope"] is None for run in row["runs"])
+        assert "nan" in (out_dir / "scan.csv").read_text()

@@ -365,6 +365,11 @@ class TestInvariantSet:
         with pytest.raises(ParameterError, match="samples"):
             invariant_set_check(params_for(0.5), (0.5, 0.5), samples)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            invariant_set_check(params_for(0.5), (0.5, 0.5), 10, seed)
+
 
 class TestVerdict:
     def test_certified_stable(self):
