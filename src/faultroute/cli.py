@@ -114,7 +114,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     kind = chain_keys[0]
     failure = None
     if kind == "rates":
-        rates = validate_rate_matrix(raw["rates"], require_irreducible=True)
+        rates = validate_rate_matrix(_numbers(raw["rates"], "rates"), require_irreducible=True)
         probs = stationary_distribution(rates)
     elif kind == "failure":
         fm = raw["failure"]
@@ -124,7 +124,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         probs = failure.mode_probs()
         rates = rates_from_probs(probs)
     else:
-        probs = validate_mode_probs(raw["probs"])
+        probs = validate_mode_probs(_numbers(raw["probs"], "probs"))
         rates = rates_from_probs(probs)
 
     sim = None
@@ -143,14 +143,29 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     return ExperimentConfig(params, kind, rates, probs, failure, sim, eta_grid)
 
 
+def _number(value) -> bool:
+    """Whether ``value`` is a JSON number a float can hold: a float, or an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def _float(value, key: str) -> float:
-    """``float(value)``, or ``ParameterError`` naming the config ``key``; a bool is not a number."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("expected a number, not a bool")
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"config key '{key}' has a bad value {value!r}: {exc}") from exc
+    """``float(value)`` of a JSON number, or ``ParameterError`` naming the config ``key``."""
+    if not _number(value):
+        raise ParameterError(f"config key '{key}' has a bad value {value!r}: expected a number")
+    return float(value)
+
+
+def _numbers(value, key: str):
+    """``value`` if it is a list of JSON numbers, or a list of such lists; else ``ParameterError`` naming ``key``."""
+
+    def ok(v) -> bool:
+        return all(map(ok, v)) if isinstance(v, (list, tuple)) else _number(v)
+
+    if not isinstance(value, (list, tuple)) or not ok(value):
+        raise ParameterError(f"config key '{key}' must be a list of numbers, got {value!r}")
+    return value
 
 
 def _sim_config(raw: dict) -> SimConfig:
@@ -169,17 +184,17 @@ def _sim_config(raw: dict) -> SimConfig:
             continue
         value, kind = raw[f.name], _SIM_TYPES[f.name]
         try:
-            if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
-                raise TypeError(f"expected {'an integer' if kind is int else 'a number'}")
             if f.name != "x0":
+                if not _number(value) or (kind is int and not isinstance(value, int)):
+                    raise TypeError(f"expected {'an integer' if kind is int else 'a number'}")
                 kwargs[f.name] = kind(value)
             elif value is None:
                 kwargs["x0"] = None
-            elif isinstance(value, (list, tuple)) and len(value) == 2 and not any(isinstance(v, bool) for v in value):
+            elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_number, value)):
                 kwargs["x0"] = (float(value[0]), float(value[1]))
             else:
                 raise TypeError("expected a list of two numbers or null")
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ParameterError(f"sim key '{f.name}' has a bad value {value!r}: {exc}") from exc
     return SimConfig(**kwargs)
 

@@ -51,7 +51,7 @@ CERT_MARGIN = 1.1  # safety factor on the sampled certificate constant d
 _INEQUALITY_NAMES = ("necessary1", "necessary2", "necessary3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NecessaryReport:
     """Outcome of the three demand inequalities, with slack = rhs - lhs."""
 
@@ -72,7 +72,7 @@ class ThetaWitness:
     drift: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityVerdict:
     necessary: NecessaryReport
     sufficient_holds: bool
@@ -92,7 +92,7 @@ class StabilityVerdict:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThroughputBounds:
     """Certified-demand interval: stable below ``lower``, unstable above ``upper``."""
 
@@ -115,7 +115,7 @@ class ThroughputBounds:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LyapunovCertificate:
     a: np.ndarray  # mode offsets, a[0] normalized to 1
     D: np.ndarray  # worst-link drift at theta per mode
@@ -242,51 +242,30 @@ def zoom_min(values, center, step: float, lo: float, hi: float) -> np.ndarray:
     return center
 
 
-def _block_bounds(field: DriftField) -> DriftField:
-    """Per-block field whose critical demand bounds every point's from above.
-
-    ``field`` is block-major, ``[bi, bj, i, j]``.  Shares are minimized and
-    outflows maximized over each block, and ``critical_demand`` is monotone
-    in both in rounded arithmetic, so a block's computed bound is ``>=``
-    every computed value in it: a proof, not an estimate, as long as no
-    value is NaN (``NetworkParams`` admits only finite fields).
-    """
-    inner = (2, 3)
-    return DriftField(
-        tuple((mu1.min(axis=inner), mu2.min(axis=inner)) for mu1, mu2 in field.shares),
-        field.f1.max(axis=inner),
-        field.f2.max(axis=inner),
-    )
-
-
-def _take_blocks(field: DriftField, bi: np.ndarray, bj: np.ndarray) -> DriftField:
-    """The blocks ``(bi[n], bj[n])`` of a block-major field, stacked on axis 0."""
-
-    def take(a: np.ndarray) -> np.ndarray:
-        return a[bi if a.shape[0] > 1 else 0, bj if a.shape[1] > 1 else 0]
-
-    return DriftField(
-        tuple((take(mu1), take(mu2)) for mu1, mu2 in field.shares),
-        take(field.f1),
-        take(field.f2),
-    )
-
-
 class _Searcher:
     """The largest critical demand over ``theta`` for ``params``'s capacities and ``beta``.
 
-    The coarse drift field does not depend on the demand, so it is built
-    once here, block-major in ``BLOCK`` x ``BLOCK`` blocks (``[bi, bj, i, j]``
-    is grid point ``(BLOCK * bi + i, BLOCK * bj + j)``).  No state carries
-    over from one call to the next.
+    The grid is cut into ``BLOCK`` x ``BLOCK`` blocks; block ``(bi, bj)`` holds
+    grid points ``(BLOCK * bi + i, BLOCK * bj + j)``.  Link 1's shares never
+    rise in theta1 or fall in theta2 and its outflow rises in theta1, so its
+    smallest shares and largest outflow over a block sit at the block's
+    (largest theta1, smallest theta2) corner; link 2's sit at the opposite
+    one.  ``floor`` holds those corner values.  Smaller shares and larger
+    outflows never lower ``critical_demand``, so its value on ``floor`` bounds
+    each block's wherever the computed field is monotone along grid lines.  A
+    bound too low could only prune a better point and lower ``lower``, never
+    certify a false demand: the witness is re-checked by the scalar
+    reference.  No state carries over from one call to the next.
     """
 
     def __init__(self, params: NetworkParams):
         self.params = params
         self.thetas = -np.log(np.logspace(math.log10(Z_FLOOR), 0.0, GRID_N))
         tb = self.thetas.reshape(GRID_N // BLOCK, BLOCK)
-        self.coarse = drift_field(params, tb[:, None, :, None], tb[None, :, None, :])
-        self.floor = _block_bounds(self.coarse)
+        hi, lo = tb[:, 0], tb[:, -1]  # theta falls along the grid
+        a = drift_field(params, hi[:, None], lo[None, :])
+        b = drift_field(params, lo[:, None], hi[None, :])
+        self.floor = DriftField(tuple((sa[0], sb[1]) for sa, sb in zip(a.shares, b.shares)), a.f1, b.f2)
 
     def coarse_argmin(self, p: np.ndarray) -> tuple[int, int]:
         """``np.argmin`` of minus the critical demand over the whole grid, by branch and bound.
@@ -299,6 +278,7 @@ class _Searcher:
         ``+inf``) are skipped; if every point is ``+inf``, that is ``(0, 0)``.
         """
         nb = GRID_N // BLOCK
+        tb = self.thetas.reshape(nb, BLOCK)
         bound = -self.floor.critical_demand(p, STRICT_DRIFT).ravel()
         order = np.argsort(bound)
         ranked = bound[order]
@@ -310,7 +290,8 @@ class _Searcher:
             if stop <= done:
                 break
             ks = order[done:stop]
-            values = -_take_blocks(self.coarse, ks // nb, ks % nb).critical_demand(p, STRICT_DRIFT)
+            field = drift_field(self.params, tb[ks // nb][:, :, None], tb[ks % nb][:, None, :])
+            values = -field.critical_demand(p, STRICT_DRIFT)
             best = min(best, float(values.min()))
             seen.append((ks, values))
             done = stop

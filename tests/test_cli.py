@@ -216,6 +216,7 @@ class TestConfigErrors:
             ({**NETWORK, **UNIFORM_CHAIN, "F1": None}, "'F1'"),
             ("hello", "JSON object"),
             ([1, 2], "JSON object"),
+            ({**NETWORK, "probs": [True, False, False, False]}, "'probs'"),
         ],
     )
     def test_wrong_shaped_config_value_exits_one(self, tmp_path, capsys, raw, named):
@@ -243,6 +244,27 @@ class TestConfigErrors:
         # these were read as seed 3, s0 2, seed 1, x0 (1, 0) and F1 1.0
         with pytest.raises(ParameterError, match=f"'{key}'"):
             parse_config({**NETWORK, **UNIFORM_CHAIN, **overrides})
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({**NETWORK, **UNIFORM_CHAIN, "F1": "0.5"}, "F1"),
+            ({**NETWORK, **UNIFORM_CHAIN, "beta": 10**400}, "beta"),
+            ({**NETWORK, "failure": {"p": 0.5, "rho": "0.1"}}, "failure.rho"),
+            ({**NETWORK, "probs": [True, False, False, False]}, "probs"),
+            ({**NETWORK, "probs": ["0.25", "0.25", "0.25", "0.25"]}, "probs"),
+            ({**NETWORK, "probs": "0.25"}, "probs"),
+            ({**NETWORK, "rates": [[0, 1, 1, "1"], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}, "rates"),
+            ({**NETWORK, "rates": [[0, 1, 1, True], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}, "rates"),
+            ({**NETWORK, **UNIFORM_CHAIN, "sim": {"horizon": "5"}}, "horizon"),
+            ({**NETWORK, **UNIFORM_CHAIN, "sim": {"horizon": 5, "x0": ["1", 0.0]}}, "x0"),
+        ],
+    )
+    def test_config_values_must_be_json_numbers(self, raw, key):
+        # each of these was read as a number (float("0.5"), or np.asarray on bools
+        # and strings) or, for an int too large for a float, raised OverflowError
+        with pytest.raises(ParameterError, match=f"'{key}'"):
+            parse_config(raw)
 
     def test_fractional_seed_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sim={"horizon": 5, "seed": 3.7})

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultroute import (
@@ -32,9 +32,10 @@ from faultroute import (
 )
 from faultroute import stability
 from faultroute.bounds import hetero_upper_reference, necessary_upper_curve
-from faultroute.model import drift_field
+from faultroute.model import DriftField, drift_field
 from faultroute.stability import (
     BISECT_TOL,
+    BLOCK,
     GRID_N,
     STRICT_DRIFT,
     Z_FLOOR,
@@ -398,6 +399,27 @@ class TestVerdict:
                 assert not v.necessary.holds
             assert not (v.classification == "certified-stable" and not v.necessary.holds)
 
+    def test_result_records_are_slotted(self):
+        params = params_for(0.5)
+        verdict = stability_verdict(params, UNIFORM)
+        tb = throughput_bounds(params, UNIFORM)
+        cert = lyapunov_certificate(params, UNIFORM, TestLyapunovCertificate.RATES, verdict.witness)
+        for record in (verdict.necessary, verdict, tb, cert):
+            assert not hasattr(record, "__dict__")
+        w = verdict.witness
+        assert verdict.to_dict() == {
+            "necessary": {"holds": True, "slacks": list(verdict.necessary.slacks)},
+            "sufficient": {"holds": True, "theta": list(w.theta), "drift": w.drift},
+            "classification": "certified-stable",
+            "violated": None,
+        }
+        assert tb.to_dict() == {
+            "lower": tb.lower,
+            "upper": tb.upper,
+            "lower_witness": {"theta": list(tb.lower_witness.theta), "drift": tb.lower_witness.drift},
+            "upper_violation": tb.upper_violation,
+        }
+
 
 def dirichlet(seed):
     return np.random.default_rng(seed).dirichlet(np.ones(4))
@@ -565,6 +587,22 @@ def mode_probs(seed, zeros):
     return p / p.sum()
 
 
+def block_extremes(params):
+    """Smallest shares and largest outflows over each ``BLOCK`` x ``BLOCK`` block, from every grid point.
+
+    The field is laid out block-major, ``[bi, bj, i, j]`` being grid point
+    ``(BLOCK * bi + i, BLOCK * bj + j)``, and reduced over ``i`` and ``j``.
+    """
+    tb = GRID.reshape(GRID_N // BLOCK, BLOCK)
+    field = drift_field(params, tb[:, None, :, None], tb[None, :, None, :])
+    inner = (2, 3)
+    return DriftField(
+        tuple((mu1.min(axis=inner), mu2.min(axis=inner)) for mu1, mu2 in field.shares),
+        field.f1.max(axis=inner),
+        field.f2.max(axis=inner),
+    )
+
+
 seeds = st.integers(0, 2**32 - 1)
 zero_modes = st.sets(st.integers(0, 3), max_size=3)
 
@@ -587,11 +625,36 @@ class TestPrunedSearch:
         # sit below the values as the critical demand's sit above them
         params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
         p = mode_probs(seed, zeros)
-        search = _Searcher(params)
-        values = search.coarse.critical_demand(p, STRICT_DRIFT)  # block-major
-        full = full_grid_critical_demand(params, p)
-        assert np.array_equal(values.transpose(0, 2, 1, 3).reshape(GRID_N, GRID_N), full)
-        assert np.all(search.floor.critical_demand(p, STRICT_DRIFT)[:, :, None, None] >= values)
+        nb = GRID_N // BLOCK
+        values = full_grid_critical_demand(params, p).reshape(nb, BLOCK, nb, BLOCK).transpose(0, 2, 1, 3)
+        bound = _Searcher(params).floor.critical_demand(p, STRICT_DRIFT)
+        assert np.all(bound[:, :, None, None] >= values)
+
+    @given(F1=capacities, beta=betas)
+    @example(F1=0.5, beta=1e-12)
+    @example(F1=0.5, beta=500.0)
+    @example(F1=0.0, beta=1.0)
+    @example(F1=1.0, beta=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_corner_bounds_equal_the_block_extremes(self, F1, beta):
+        params = NetworkParams(F1=F1, F2=1.0 - F1, beta=beta, eta=0.0)
+        got = _Searcher(params).floor
+        want = block_extremes(params)
+        for (mu1, mu2), (nu1, nu2) in zip(got.shares, want.shares):
+            assert np.array_equal(mu1, nu1) and np.array_equal(mu2, nu2)
+        assert np.array_equal(got.f1, want.f1) and np.array_equal(got.f2, want.f2)
+
+    def test_building_a_searcher_evaluates_only_block_corners(self, monkeypatch):
+        # the block bounds come from two corner fields, not from every grid point
+        points = []
+
+        def counted(params, x1, x2):
+            points.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
+            return drift_field(params, x1, x2)
+
+        monkeypatch.setattr(stability, "drift_field", counted)
+        _Searcher(NetworkParams(F1=0.5, F2=0.5, beta=1.0, eta=0.0))
+        assert 0 < sum(points) <= 2 * (GRID_N // BLOCK) ** 2
 
     @pytest.mark.parametrize(
         "params, probs",
