@@ -68,4 +68,4 @@ from .stability import (
     throughput_bounds,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

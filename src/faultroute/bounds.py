@@ -36,7 +36,7 @@ G_GRID = 10_000  # points of (0, 1] that g_monotonicity_check samples
 CURVE_POINTS = 101  # rows of each figure curve
 CURVE_P = 0.5  # failure probability of the correlation sweep
 UNIFORM = np.full(4, 0.25)  # mode law of the capacity-gap sweep, which runs at beta = 1
-SWEEP_N = 400  # log-spaced z of each witness sweep before refinement
+SWEEP_N = 400  # evenly spaced theta2 of each witness sweep before refinement
 
 
 @dataclass(frozen=True)
@@ -260,47 +260,36 @@ def g_monotonicity_check(gp: GPolynomial) -> GMonotonicityReport:
     )
 
 
-def _family_drift(params: NetworkParams, p: np.ndarray, y_of_z, t: np.ndarray) -> np.ndarray:
-    """Averaged drift on the ``drift_field`` kernel at ``theta = (-log y(z), t)``, ``z = e^-t``.
+def _sweep(params: NetworkParams, p: np.ndarray, theta1_of, t_lo: float):
+    """The one sweep of a ``hetero_witness`` construction: the least drift along a line in ``theta``.
 
-    ``y`` is clipped to ``[Z_FLOOR, 1]``, so every ``theta`` lies in the
-    search box; ``y_of_z`` must accept arrays, and ``t`` may have any shape.
-    """
-    y = np.clip(y_of_z(np.exp(-t)), Z_FLOOR, 1.0)
-    return drift_field(params, -np.log(y), t).averaged(params.eta, p)
-
-
-def _sweep_z(params: NetworkParams, p: np.ndarray, y_of_z, z_hi: float):
-    """The one sweep of a ``hetero_witness`` construction: the least drift along ``(y(z), z)``.
-
-    ``SWEEP_N`` log-spaced ``z`` in ``[Z_FLOOR, z_hi]`` are scored in one
-    ``_family_drift`` call, and ``zoom_min`` refines the best one in
-    ``t = -log z``, one call per refinement grid.  Returns the chosen
-    ``theta`` as Python floats, computed on the scalar path; the caller
+    ``SWEEP_N`` evenly spaced ``theta2 = t`` in ``[t_lo, -log(Z_FLOOR)]``,
+    with ``theta1 = theta1_of(t)``, are scored in one ``drift_field`` call,
+    and ``zoom_min`` refines the best one, one call per refinement grid.
+    ``theta1_of`` must accept arrays and keep every ``theta`` in the search
+    box.  Returns the chosen ``theta`` as Python floats; the caller
     re-checks it with ``sufficient_value``.
     """
-    z_hi = max(min(z_hi, 1.0), Z_FLOOR)
+    top = -math.log(Z_FLOOR)
 
     def values(ts: np.ndarray) -> np.ndarray:
-        return _family_drift(params, p, y_of_z, ts)
+        return drift_field(params, theta1_of(ts), ts).averaged(params.eta, p)
 
-    ts = -np.log(np.logspace(math.log10(Z_FLOOR), math.log10(z_hi), SWEEP_N))
-    t_lo, t_hi = -math.log(z_hi), -math.log(Z_FLOOR)
+    ts = np.linspace(t_lo, top, SWEEP_N)
     best = float(ts[int(np.argmin(values(ts)))])
-    t = float(zoom_min(values, [best], (t_hi - t_lo) / (SWEEP_N - 1), min(t_lo, best), max(t_hi, best))[0])
-    y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
-    return -math.log(y), t
+    t = float(zoom_min(values, [best], (top - t_lo) / (SWEEP_N - 1), t_lo, top)[0])
+    return theta1_of(t), t
 
 
 def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> ThetaWitness:
     """Construct a certificate for a demand below the unequal-capacity bound.
 
-    Follows the two intermediate-value constructions, one sweep along ``z``
-    each: when demand is below the capacity gap, fix ``y`` at
-    ``1 - (eta + F2)/F1`` (which forces the slower link to dominate every
-    mode's max); otherwise fix ``y / z = ((1 + rho)/(1 - rho))^(1/beta)``
-    with ``rho`` just under ``gap/eta`` (the ratio is 1 at equal capacities)
-    and sweep ``z`` up to where ``y`` reaches 1.
+    Follows the two intermediate-value constructions, one sweep along a
+    line in ``theta`` each: when demand is below the capacity gap, fix
+    ``e^-theta1`` at ``1 - (eta + F2)/F1`` (which forces the slower link to
+    dominate every mode's max); otherwise fix
+    ``theta2 - theta1 = log((1 + rho)/(1 - rho)) / beta`` with ``rho`` just
+    under ``dF / eta`` (0 at equal capacities) and sweep up from ``theta1 = 0``.
     The sweep's ``theta`` is re-checked with ``sufficient_value`` on the
     caller's ``probs`` and must beat ``-STRICT_DRIFT``, and the witness
     carries that value.  If the construction misses, the generic
@@ -328,15 +317,14 @@ def hetero_witness(params: NetworkParams, probs, eta: float | None = None) -> Th
     if eta == 0.0:
         theta = (1e-6, 1e-6)
     elif eta < dF:
-        # slower link dominates each mode's max for every z at this y
-        y_cap = 1.0 - (eta + params.F2) / params.F1
-        theta = _sweep_z(params, p, lambda z: y_cap, 1.0)
+        # slower link dominates each mode's max at this theta1; max() absorbs rounding at eta ~ dF
+        theta1 = -math.log(max(1.0 - (eta + params.F2) / params.F1, Z_FLOOR))
+        theta = _sweep(params, p, lambda t: theta1, 0.0)
     else:
         rho = 0.99 * min(1.0, dF / eta)
-        ratio = (1.0 + rho) / (1.0 - rho)
-        # from log m = 700 on, every y = m z clips to 1 as it would for m = inf, and the power may overflow
-        m = ratio ** (1.0 / params.beta) if math.log(ratio) < 700.0 * params.beta else math.inf
-        theta = _sweep_z(params, p, lambda z: m * z, 1.0 / m)
+        # the line theta2 - theta1 = gap; past the box's edge, its corner (0, -log Z_FLOOR)
+        gap = min(math.log((1.0 + rho) / (1.0 - rho)) / params.beta, -math.log(Z_FLOOR))
+        theta = _sweep(params, p, lambda t: t - gap, gap)
 
     drift = sufficient_value(params, probs, theta)
     if drift < -STRICT_DRIFT:

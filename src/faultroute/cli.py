@@ -114,7 +114,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     kind = chain_keys[0]
     failure = None
     if kind == "rates":
-        rates = validate_rate_matrix(_numbers(raw["rates"], "rates"), require_irreducible=True)
+        rates = validate_rate_matrix(_numbers(raw["rates"], "rates", (4, 4)), require_irreducible=True)
         probs = stationary_distribution(rates)
     elif kind == "failure":
         fm = raw["failure"]
@@ -124,7 +124,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         probs = failure.mode_probs()
         rates = rates_from_probs(probs)
     else:
-        probs = validate_mode_probs(_numbers(raw["probs"], "probs"))
+        probs = validate_mode_probs(_numbers(raw["probs"], "probs", (4,)))
         rates = rates_from_probs(probs)
 
     sim = None
@@ -157,14 +157,16 @@ def _float(value, key: str) -> float:
     return float(value)
 
 
-def _numbers(value, key: str):
-    """``value`` if it is a list of JSON numbers, or a list of such lists; else ``ParameterError`` naming ``key``."""
+def _numbers(value, key: str, shape: tuple[int, ...]):
+    """``value`` if it is nested lists of JSON numbers of ``shape``; else ``ParameterError`` naming ``key``."""
 
-    def ok(v) -> bool:
-        return all(map(ok, v)) if isinstance(v, (list, tuple)) else _number(v)
+    def ok(v, shape) -> bool:
+        if not shape:
+            return _number(v)
+        return isinstance(v, (list, tuple)) and len(v) == shape[0] and all(ok(e, shape[1:]) for e in v)
 
-    if not isinstance(value, (list, tuple)) or not ok(value):
-        raise ParameterError(f"config key '{key}' must be a list of numbers, got {value!r}")
+    if not ok(value, shape):
+        raise ParameterError(f"config key '{key}' must be a list of numbers of shape {shape}, got {value!r}")
     return value
 
 

@@ -470,7 +470,7 @@ def throughput_scan(
     if etas and not (0.0 <= etas[0] and etas[-1] <= 1.2):
         raise ParameterError("eta grid must lie within [0, 1.2]")
     validate_rate_matrix(rates, require_irreducible=False)
-    _replication_seeds(cfg.seed, replications)  # rejects replications < 1, also for an empty grid
+    check_integer(replications, "replications", 1)
     probes = [stability_probe(replace(params, eta=e), rates, cfg, replications) for e in etas]
     stable = [e for e, p in zip(etas, probes) if p.verdict == "empirically-stable"]
     unstable = [e for e, p in zip(etas, probes) if p.verdict == "empirically-unstable"]

@@ -139,7 +139,9 @@ def solve_congestion_floor(params: NetworkParams, k: int) -> float:
     The inflow side ``eta * e^{-beta x} / (1 + e^{-beta x})`` is strictly
     decreasing and the outflow side strictly increasing, so the root is
     unique; bisection is exact enough.  Returns 0 when demand is zero and
-    ``inf`` when the link has no capacity (the balance never closes).
+    ``inf`` when the link has no capacity (the balance never closes), or
+    when the floor, near ``log(eta / cap - 1) / beta`` at tiny ``beta``, is
+    past the float range (``beta`` below about 1e-307).
     """
     eta, beta = params.eta, params.beta
     cap = params.capacity(k)
@@ -153,10 +155,8 @@ def solve_congestion_floor(params: NetworkParams, k: int) -> float:
         return eta * e / (1.0 + e) - cap * -math.expm1(-x) > 0.0
 
     hi = X_CAP
-    while filling(hi):  # tiny beta flattens the inflow side; widen until bracketed
+    while filling(hi):  # tiny beta flattens the inflow side; widen until bracketed (filling(inf) is false)
         hi *= 2.0
-        if hi > 1e12:
-            return math.inf
     return 0.5 * sum(_bisect(filling, 0.0, hi, FLOOR_X_TOL))
 
 
@@ -185,13 +185,14 @@ def necessary_condition(params: NetworkParams, probs) -> NecessaryReport:
 
     The first two compare the fault-boosted share of demand against each
     link's capacity on the invariant set above the congestion floors; an
-    infinite floor enters in limit form (``e^{-beta * inf} = 0``).  The third
-    is plain ``eta < 1``.
+    infinite floor (no capacity, or a floor past the float range) enters in
+    limit form (``e^{-beta * inf} = 0``).  The third is plain ``eta < 1``.
     """
     return _necessary(params, validate_mode_probs(probs))
 
 
 def _necessary(params: NetworkParams, p: np.ndarray) -> NecessaryReport:
+    """Unchecked ``necessary_condition``; a floor is ``inf`` only at zero capacity or ``beta`` below ~1e-307."""
     eta = params.eta
     x1, x2 = congestion_floors(params)
     e1 = math.exp(-params.beta * x1)

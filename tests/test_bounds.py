@@ -1,6 +1,7 @@
 """Closed-form bound formulas, the feasibility polynomial, and the witness finder."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from faultroute import (
     stationary_distribution,
     sufficient_value,
 )
-from faultroute.bounds import _family_drift, _sweep_z
-from faultroute.model import validate_mode_probs
+from faultroute.bounds import _sweep
+from faultroute.model import drift_field, validate_mode_probs
 from faultroute.stability import STRICT_DRIFT, Z_FLOOR, _drift_value, zoom_min
 
 UNIFORM = np.full(4, 0.25)
@@ -293,6 +294,13 @@ class TestHeteroWitness:
         params = NetworkParams(0.6, 0.4, 1.0, 0.0)
         assert hetero_witness(params, UNIFORM).drift < -STRICT_DRIFT
 
+    def test_demand_a_rounding_below_the_gap(self):
+        # 1 - (eta + F2) / F1 rounds to 0 here, where -log would raise
+        params = NetworkParams(0.5204867619680973, 0.4795132380319027, 1.0, 0.0)
+        eta = math.nextafter(params.F1 - params.F2, 0.0)
+        w = hetero_witness(params, UNIFORM, eta=eta)
+        assert sufficient_value(replace(params, eta=eta), UNIFORM, w.theta) == w.drift < -STRICT_DRIFT
+
     def test_gap_dominating_demand_case(self):
         params = NetworkParams(0.75, 0.25, 1.0, 0.55)  # gap 0.5 <= demand < bound
         w = hetero_witness(params, UNIFORM)
@@ -338,9 +346,9 @@ class TestHeteroWitness:
             assert w.drift < -STRICT_DRIFT
             assert w.drift == sufficient_value(params, probs, w.theta)
 
-    @pytest.mark.parametrize("beta", [0.0014, 1e-3, 0.0025])
+    @pytest.mark.parametrize("beta", [0.0014, 1e-3, 0.0025, 1e-12, 1e-300])
     def test_tiny_beta_never_overflows(self, beta):
-        # ((1 + rho) / (1 - rho)) ** (1 / beta) overflowed here
+        # ((1 + rho) / (1 - rho)) ** (1 / beta) overflowed at the first three
         params = NetworkParams(0.653, 0.347, beta, 0.361)
         try:
             w = hetero_witness(params, UNIFORM)
@@ -349,55 +357,57 @@ class TestHeteroWitness:
         assert sufficient_value(params, UNIFORM, w.theta) == w.drift < -STRICT_DRIFT
 
 
-def scalar_sweep_z(params, p, y_of_z, z_lo, z_hi, n=400):
-    """The point-by-point scalar sweep that ``_sweep_z`` replaced, kept as its oracle.
+TOP = -math.log(Z_FLOOR)
 
-    Returns the chosen theta, its scalar drift, and the ``n`` first-pass
-    ``t = -log z`` with their scalar drifts.
+
+def scalar_sweep(params, p, theta1_of, t_lo, n=400):
+    """``_sweep``'s oracle: the same sweep along ``(theta1_of(t), t)``, point by point on ``_drift_value``.
+
+    Every ``theta`` it visits must lie in the search box.  Returns the chosen theta, its scalar drift, and the ``n`` first-pass
+    ``t`` with their scalar drifts.
     """
-    z_lo = max(z_lo, Z_FLOOR)
-    z_hi = max(min(z_hi, 1.0), z_lo)
 
     def theta(t):
-        y = min(max(y_of_z(math.exp(-t)), Z_FLOOR), 1.0)
-        return -math.log(y), t
+        theta1 = theta1_of(t)
+        assert 0.0 <= theta1 <= TOP and t_lo <= t <= TOP, (theta1, t)
+        return theta1, t
 
     def values(ts):
         return np.array([_drift_value(params, p, theta(t)) for t in ts.ravel().tolist()]).reshape(ts.shape)
 
-    ts = -np.log(np.logspace(math.log10(z_lo), math.log10(z_hi), n))
-    t_lo, t_hi = -math.log(z_hi), -math.log(z_lo)
+    ts = np.linspace(t_lo, TOP, n)
     first = values(ts)
     best = float(ts[int(np.argmin(first))])
-    t = float(zoom_min(values, [best], (t_hi - t_lo) / (n - 1), min(t_lo, best), max(t_hi, best))[0])
+    t = float(zoom_min(values, [best], (TOP - t_lo) / (n - 1), t_lo, TOP)[0])
     return theta(t), _drift_value(params, p, theta(t)), ts, first
 
 
 @st.composite
 def sweep_cases(draw):
-    """A network, symmetric mode probabilities and one of ``hetero_witness``'s ``(y(z), z_hi)`` sweeps."""
+    """A network, symmetric mode probabilities and one of ``hetero_witness``'s ``(theta1_of, t_lo)`` sweeps."""
+    family = draw(st.sampled_from(("capped", "equal", "ratio")))
     F1 = draw(st.floats(0.5, 1.0))
     F2 = 1.0 - F1
     dF = F1 - F2
-    beta = 10.0 ** draw(st.floats(-3.0, math.log10(500.0)))
+    # at beta down to 1e-12 the ratio line can miss the search box, leaving its corner
+    beta = 10.0 ** draw(st.floats(-12.0 if family == "ratio" else -3.0, math.log10(500.0)))
     a, b, c = (draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))) for _ in range(3))
     assume(a + b + c > 0.0)
     p = validate_mode_probs(np.array([a, b, b, c]) / (a + 2.0 * b + c))
-    family = draw(st.sampled_from(("capped", "equal", "ratio")))
-    if family == "capped":  # demand below the gap; y_cap down to 1e-12 exercises the clip at Z_FLOOR
+    if family == "capped":  # demand below the gap; y_cap down to 1e-12 exercises the floor at Z_FLOOR
         assume(dF > 0.0)
         eta = (1.0 - 10.0 ** draw(st.floats(-12.0, 0.0))) * dF
         y_cap = 1.0 - (eta + F2) / F1
-        sweep = (lambda z: y_cap, 1.0)
+        sweep = (lambda t: -math.log(max(y_cap, Z_FLOOR)), 0.0)
     elif family == "equal":
         eta = draw(st.floats(0.0, 1.0))
-        sweep = (lambda z: z, 1.0)
-    else:  # demand above the gap: y = m z
+        sweep = (lambda t: t, 0.0)
+    else:  # demand above the gap: theta2 - theta1 = gap
         eta = dF + draw(st.floats(0.0, 1.0)) * (1.0 - dF)
         assume(eta > 0.0)
         rho = 0.99 * min(1.0, dF / eta)
-        m = math.exp(min(math.log((1.0 + rho) / (1.0 - rho)) / beta, 50.0))
-        sweep = (lambda z: m * z, 1.0 / m)
+        gap = min(math.log((1.0 + rho) / (1.0 - rho)) / beta, TOP)
+        sweep = (lambda t: t - gap, gap)
     return NetworkParams(F1, F2, beta, eta), p, *sweep
 
 
@@ -405,15 +415,17 @@ class TestKernelSweep:
     @given(case=sweep_cases())
     @settings(max_examples=100, deadline=None)
     def test_matches_the_scalar_sweep(self, case):
-        params, p, y_of_z, z_hi = case
-        theta_ref, drift_ref, ts, first_ref = scalar_sweep_z(params, p, y_of_z, Z_FLOOR, z_hi)
-        np.testing.assert_allclose(_family_drift(params, p, y_of_z, ts), first_ref, rtol=0.0, atol=1e-12)
-        theta = _sweep_z(params, p, y_of_z, z_hi)
+        params, p, theta1_of, t_lo = case
+        theta_ref, drift_ref, ts, first_ref = scalar_sweep(params, p, theta1_of, t_lo)
+        first = drift_field(params, theta1_of(ts), ts).averaged(params.eta, p)
+        np.testing.assert_allclose(first, first_ref, rtol=0.0, atol=1e-12)
+        theta = _sweep(params, p, theta1_of, t_lo)
         assert all(type(v) is float for v in theta)
         drift = _drift_value(params, p, theta)
         assert abs(drift - drift_ref) <= 1e-12, (theta, theta_ref)
         if drift_ref < -STRICT_DRIFT - 1e-12:
             assert drift < -STRICT_DRIFT  # no witness is lost
+
 
 class TestCurveEmitters:
     def test_failure_rate_curve_shape(self):

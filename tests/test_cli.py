@@ -217,6 +217,7 @@ class TestConfigErrors:
             ("hello", "JSON object"),
             ([1, 2], "JSON object"),
             ({**NETWORK, "probs": [True, False, False, False]}, "'probs'"),
+            ({**NETWORK, "probs": [[0.25, 0.25], 0.25, 0.25]}, "'probs'"),
         ],
     )
     def test_wrong_shaped_config_value_exits_one(self, tmp_path, capsys, raw, named):
@@ -258,11 +259,16 @@ class TestConfigErrors:
             ({**NETWORK, "rates": [[0, 1, 1, True], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}, "rates"),
             ({**NETWORK, **UNIFORM_CHAIN, "sim": {"horizon": "5"}}, "horizon"),
             ({**NETWORK, **UNIFORM_CHAIN, "sim": {"horizon": 5, "x0": ["1", 0.0]}}, "x0"),
+            ({**NETWORK, "probs": [[0.25, 0.25], 0.25, 0.25]}, "probs"),
+            ({**NETWORK, "probs": [0.5, 0.5]}, "probs"),
+            ({**NETWORK, "rates": [[0, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}, "rates"),
+            ({**NETWORK, "rates": [0, 1, 1, 1]}, "rates"),
         ],
     )
     def test_config_values_must_be_json_numbers(self, raw, key):
         # each of these was read as a number (float("0.5"), or np.asarray on bools
-        # and strings) or, for an int too large for a float, raised OverflowError
+        # and strings) or, for an int too large for a float, raised OverflowError;
+        # a ragged or short list got numpy's or the validator's message, without the key
         with pytest.raises(ParameterError, match=f"'{key}'"):
             parse_config(raw)
 

@@ -51,6 +51,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             simulate(HOMOG, ONES, cfg)
 
+    def test_default_start_beyond_the_cap_rejected(self):
+        # at beta = 1e-13 link 1's floor is 4.05e12, and the default x0 starts there
+        params = NetworkParams(0.3, 0.7, 1e-13, 0.75)
+        with pytest.raises(ParameterError, match="divergence cap 1000.0 must exceed"):
+            simulate(params, ONES, SimConfig(horizon=10.0))
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -56,6 +56,10 @@ UNIFORM = np.full(4, 0.25)
 REPRO_PARAMS = NetworkParams(0.63309, 0.36691, 63.59997, 0.68859)
 REPRO_PROBS = np.array([0.696, 0.129, 0.011, 0.164])
 
+# a floor of 4.05e12 on link 1: the bracket used to stop at 1e12 and call it inf
+TINY_BETA_PARAMS = NetworkParams(0.3, 0.7, 1e-13, 0.75)
+TINY_BETA_PROBS = np.array([0.02, 0.01, 0.95, 0.02])
+
 betas = st.floats(min_value=math.log(1e-3), max_value=math.log(500.0)).map(math.exp)
 capacities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
@@ -99,6 +103,14 @@ class TestCongestionFloor:
         params = params_for(0.9, beta=1e-3)
         x = solve_congestion_floor(params, 1)
         assert abs(floor_residual(params, 1, x)) < 1e-10
+
+    @pytest.mark.parametrize("beta", [1e-13, 1e-20, 1e-300])
+    def test_tiny_beta_floor_is_finite(self, beta):
+        params = replace(TINY_BETA_PARAMS, beta=beta)
+        x = solve_congestion_floor(params, 1)
+        assert math.isfinite(x)
+        # the root of F1 (1 - e^-x)(1 + e^(beta x)) = eta, where e^-x is 0 in floats
+        assert x == pytest.approx(math.log(params.eta / params.F1 - 1.0) / beta, rel=1e-12)
 
     def test_far_floor_terminates(self):
         # the root sits near x = 1.4e4, where adjacent floats are 1.8e-12 apart
@@ -389,6 +401,11 @@ class TestVerdict:
         v = stability_verdict(params_for(0.69), UNIFORM)
         assert v.classification == "indeterminate"
         assert v.necessary.holds and not v.sufficient_holds
+
+    def test_tiny_beta_is_not_certified_unstable(self):
+        # with link 1's floor taken as inf, necessary2 failed and upper was 0.729
+        assert stability_verdict(TINY_BETA_PARAMS, TINY_BETA_PROBS).classification != "certified-unstable"
+        assert throughput_bounds(TINY_BETA_PARAMS, TINY_BETA_PROBS).upper == 1.0
 
     def test_classifications_mutually_exclusive(self):
         for eta in (0.0, 0.3, 0.6, 0.69, 0.9, 1.0, 1.1):
