@@ -68,4 +68,4 @@ from .stability import (
     throughput_bounds,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -268,9 +268,12 @@ def _sweep(params: NetworkParams, p: np.ndarray, theta1_of, t_lo: float):
     and ``zoom_min`` refines the best one, one call per refinement grid.
     ``theta1_of`` must accept arrays and keep every ``theta`` in the search
     box.  Returns the chosen ``theta`` as Python floats; the caller
-    re-checks it with ``sufficient_value``.
+    re-checks it with ``sufficient_value``.  A line that is one point
+    (``t_lo`` at the top) is returned without scoring.
     """
     top = -math.log(Z_FLOOR)
+    if t_lo == top:
+        return theta1_of(top), top
 
     def values(ts: np.ndarray) -> np.ndarray:
         return drift_field(params, theta1_of(ts), ts).averaged(params.eta, p)

@@ -45,7 +45,7 @@ from .bounds import (
 from .errors import ParameterError
 from .model import NetworkParams, stationary_distribution, validate_mode_probs, validate_rate_matrix
 from .sim import GENERATOR_NAME, SimConfig, Trajectory, simulate, throughput_scan
-from .stability import _verdict, throughput_bounds
+from .stability import stability_verdict, throughput_bounds
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -260,8 +260,8 @@ def cmd_dump_config(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: No
 
 
 def cmd_check(cfg: ExperimentConfig, args: argparse.Namespace, out_dir: Path | None, started: float) -> int:
-    tb = throughput_bounds(cfg.params, cfg.probs)
-    verdict = _verdict(cfg.params, cfg.probs, tb)  # the verdict of stability_verdict, from the same search
+    verdict = stability_verdict(cfg.params, cfg.probs)
+    tb = throughput_bounds(cfg.params, cfg.probs)  # reuses the verdict's search when it ran: one per check
     payload = verdict.to_dict()
     payload["bounds"] = {"lower": tb.lower, "upper": tb.upper}
     print(json.dumps(payload, indent=2, default=float))

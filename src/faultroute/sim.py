@@ -21,8 +21,9 @@ whole path, jumps and samples included, in one call.  Its RK4 stepper writes
 ``model._field`` out inline, the same expressions in the same order, so its
 states are bit for bit those of four ``_field`` calls per step.  ``simulate``
 draws the mode path and calls it, ``integrate_mode`` calls it as a
-frozen-mode run, ``stability_probe`` calls ``simulate`` once per replication,
-and ``throughput_scan`` calls ``stability_probe`` once per demand.
+frozen-mode run, and ``stability_probe`` calls ``simulate`` once per
+replication.  ``throughput_scan`` draws each replication's path once and
+runs the probe on those paths at every demand.
 """
 
 from __future__ import annotations
@@ -319,7 +320,9 @@ def _initial_state(params: NetworkParams, cfg: SimConfig) -> tuple[float, float]
     return x1, x2
 
 
-def simulate(params: NetworkParams, rates, cfg: SimConfig) -> Trajectory:
+def simulate(
+    params: NetworkParams, rates, cfg: SimConfig, *, _log: tuple[list[float], list[int]] | None = None
+) -> Trajectory:
     """Run one trajectory; deterministic given the config and seed.
 
     The rate matrix is shape/sign-checked but need not be irreducible: a mode
@@ -327,11 +330,14 @@ def simulate(params: NetworkParams, rates, cfg: SimConfig) -> Trajectory:
     integration tests).  The whole mode path is drawn first, then ``_run``
     integrates it in one call.  Densities are clamped at zero after each step
     (the field points inward there, so clamping only absorbs rounding) and the
-    run stops early once ``x1 + x2`` exceeds the divergence cap.
+    run stops early once ``x1 + x2`` exceeds the divergence cap.  ``_log`` is
+    the path ``_jump_log`` draws for ``cfg`` from checked rates; a probe
+    passes it so that a scan draws each replication's path once.
     """
-    rmat = validate_rate_matrix(rates, require_irreducible=False)
+    if _log is None:
+        _log = _jump_log(cfg.seed, validate_rate_matrix(rates, require_irreducible=False), cfg.s0, cfg.horizon)
+    jump_times, jump_modes = _log
     x1, x2 = _initial_state(params, cfg)
-    jump_times, jump_modes = _jump_log(cfg.seed, rmat, cfg.s0, cfg.horizon)
     samples, occupancy, taken, t, diverged = _run(
         params, cfg.s0, x1, x2, jump_times, jump_modes,
         cfg.horizon, cfg.sample_interval, cfg.step, cfg.divergence_cap,
@@ -405,6 +411,13 @@ def _replication_seeds(seed: int, replications: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]
 
 
+def _replications(rates, cfg: SimConfig, replications: int) -> list[tuple[SimConfig, tuple[list[float], list[int]]]]:
+    """Each replication's config, with its seed, and its mode path, drawn once from the checked rates."""
+    seeds = _replication_seeds(cfg.seed, replications)
+    rmat = validate_rate_matrix(rates, require_irreducible=False)
+    return [(replace(cfg, seed=seed), _jump_log(seed, rmat, cfg.s0, cfg.horizon)) for seed in seeds]
+
+
 def stability_probe(
     params: NetworkParams,
     rates,
@@ -419,8 +432,12 @@ def stability_probe(
     inconclusive -- this is a proxy probe, not a certificate.  Each
     replication is one ``simulate`` call with its own seed (module docstring).
     """
-    seeds = _replication_seeds(cfg.seed, replications)
-    runs = [simulate(params, rates, replace(cfg, seed=seed)) for seed in seeds]
+    return _probe(params, rates, _replications(rates, cfg, replications))
+
+
+def _probe(params: NetworkParams, rates, drawn: list) -> ProbeResult:
+    """``stability_probe`` on ``drawn``, the replications of ``_replications`` with their paths."""
+    runs = [simulate(params, rates, cfg, _log=log) for cfg, log in drawn]
     n_div = sum(r.diverged for r in runs)
     slopes = np.array([(r.avg_slope(), r.growth_slope()) for r in runs]).T
     # every slope is NaN under 4 samples: the median is NaN then, without nanmedian's warning
@@ -459,19 +476,18 @@ def throughput_scan(
 
     Each demand gets exactly the ``stability_probe`` result at that demand.
     Replication ``i`` runs with the ``SeedSequence`` seed of the module
-    docstring at every demand, and each run draws its mode path up front
-    (holding time, then target, per jump), so all demands see the same
-    paths.  Each run is one ``simulate`` call, so the cost grows linearly
-    with grid points x replications.
+    docstring at every demand, and its mode path (holding time, then
+    target, per jump) is drawn once, before the first demand, so all
+    demands see the same paths.  Each run is one ``simulate`` call, so the
+    cost grows linearly with grid points x replications.
     """
     etas = [float(e) for e in eta_grid]
     if etas != sorted(etas):
         raise ParameterError("eta grid must be sorted ascending")
     if etas and not (0.0 <= etas[0] and etas[-1] <= 1.2):
         raise ParameterError("eta grid must lie within [0, 1.2]")
-    validate_rate_matrix(rates, require_irreducible=False)
-    check_integer(replications, "replications", 1)
-    probes = [stability_probe(replace(params, eta=e), rates, cfg, replications) for e in etas]
+    drawn = _replications(rates, cfg, replications)
+    probes = [_probe(replace(params, eta=e), rates, drawn) for e in etas]
     stable = [e for e, p in zip(etas, probes) if p.verdict == "empirically-stable"]
     unstable = [e for e, p in zip(etas, probes) if p.verdict == "empirically-unstable"]
     return ScanResult(

@@ -16,7 +16,9 @@ quadratic of the above-threshold excess whose generator drift is bounded by
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,12 +55,22 @@ _INEQUALITY_NAMES = ("necessary1", "necessary2", "necessary3")
 
 @dataclass(frozen=True, slots=True)
 class NecessaryReport:
-    """Outcome of the three demand inequalities, with slack = rhs - lhs."""
+    """Outcome of the three demand inequalities, with slack = rhs - lhs.
 
-    holds: bool
-    inequality_holds: tuple[bool, bool, bool]
+    The third slack is ``1 - eta``; it is positive exactly when ``eta < 1``.
+    """
+
     slacks: tuple[float, float, float]
     floors: tuple[float, float]
+
+    @property
+    def inequality_holds(self) -> tuple[bool, bool, bool]:
+        s1, s2, s3 = self.slacks
+        return s1 >= 0.0, s2 >= 0.0, s3 > 0.0
+
+    @property
+    def holds(self) -> bool:
+        return all(self.inequality_holds)
 
     def first_violated(self) -> str | None:
         return next((name for name, ok in zip(_INEQUALITY_NAMES, self.inequality_holds) if not ok), None)
@@ -75,9 +87,12 @@ class ThetaWitness:
 @dataclass(frozen=True, slots=True)
 class StabilityVerdict:
     necessary: NecessaryReport
-    sufficient_holds: bool
     witness: ThetaWitness | None
     classification: str  # certified-stable | certified-unstable | indeterminate
+
+    @property
+    def sufficient_holds(self) -> bool:
+        return self.witness is not None
 
     def to_dict(self) -> dict:
         return {
@@ -197,11 +212,10 @@ def _necessary(params: NetworkParams, p: np.ndarray) -> NecessaryReport:
     x1, x2 = congestion_floors(params)
     e1 = math.exp(-params.beta * x1)
     e2 = math.exp(-params.beta * x2)
-    lhs1 = eta * (p[1] / (e2 + 1.0) + 0.5 * p[3])
-    lhs2 = eta * (p[2] / (e1 + 1.0) + 0.5 * p[3])
-    slacks = (params.F1 - lhs1, params.F2 - lhs2, 1.0 - eta)
-    holds = (slacks[0] >= 0.0, slacks[1] >= 0.0, eta < 1.0)
-    return NecessaryReport(all(holds), holds, slacks, (x1, x2))
+    _, p2, p3, p4 = p.tolist()
+    lhs1 = eta * (p2 / (e2 + 1.0) + 0.5 * p4)
+    lhs2 = eta * (p3 / (e1 + 1.0) + 0.5 * p4)
+    return NecessaryReport((params.F1 - lhs1, params.F2 - lhs2, 1.0 - eta), (x1, x2))
 
 
 def sufficient_value(params: NetworkParams, probs, theta: tuple[float, float]) -> float:
@@ -332,20 +346,33 @@ class _Searcher:
         return 0.0, None
 
 
+def _search(params: NetworkParams, p: np.ndarray) -> tuple[float, ThetaWitness | None]:
+    """``_Searcher(params)(p)``, remembered for the last network searched (``p`` validated).
+
+    The search ignores the demand, so the key is the bit patterns of
+    ``F1``, ``F2``, ``beta`` and ``p``: a verdict and the bounds of one
+    network share one search.  One entry is kept.
+    """
+    return _search_bits(struct.pack("3d", params.F1, params.F2, params.beta) + p.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _search_bits(key: bytes) -> tuple[float, ThetaWitness | None]:
+    F1, F2, beta, *p = struct.unpack("7d", key)
+    return _Searcher(NetworkParams(F1, F2, beta, 0.0))(np.array(p))
+
+
 def sufficient_search(params: NetworkParams, probs) -> ThetaWitness | None:
     """Search for a threshold pair with strictly negative averaged drift.
 
-    Runs the search behind ``throughput_bounds``.  When ``params.eta`` is at
-    most its ``lower``, returns its ``theta`` with the scalar
-    ``sufficient_value`` at ``params.eta``, re-checked below
+    Reads the demand-free search behind ``throughput_bounds`` (one search
+    per network: a call on the network last searched reuses its result).
+    When ``params.eta`` is at most its ``lower``, returns its ``theta`` with
+    the scalar ``sufficient_value`` at ``params.eta``, re-checked below
     ``-STRICT_DRIFT``.  Otherwise ``None``, a valid outcome, not an error.
     """
     p = validate_mode_probs(probs)
-    return _witness_at(params, p, *_Searcher(params)(p))
-
-
-def _witness_at(params: NetworkParams, p: np.ndarray, lower: float, witness: ThetaWitness | None) -> ThetaWitness | None:
-    """The search's ``(lower, witness)`` read at ``params.eta``, as ``sufficient_search`` returns it."""
+    lower, witness = _search(params, p)
     if witness is None or params.eta > lower:
         return None
     drift = _drift_value(params, p, witness.theta)
@@ -357,45 +384,33 @@ def stability_verdict(params: NetworkParams, probs) -> StabilityVerdict:
 
     A failed necessary test certifies instability outright; a found witness
     certifies stability; the remaining gap is reported as indeterminate,
-    never coerced either way.
-    """
-    return _verdict(params, probs, None)
-
-
-def _verdict(params: NetworkParams, probs, bounds: ThroughputBounds | None) -> StabilityVerdict:
-    """``stability_verdict``, read off ``bounds = throughput_bounds(params, probs)`` when given.
-
-    ``throughput_bounds`` runs the same demand-free search as
-    ``sufficient_search``, so its ``lower`` and witness give the same
-    verdict without a second search.  Without ``bounds``, the search runs
-    only if the necessary test holds.
+    never coerced either way.  The search runs only if the necessary test
+    holds, and it is the one ``throughput_bounds`` reads on the same
+    network, so a verdict followed by the bounds searches once.
     """
     p = validate_mode_probs(probs)
     necessary = _necessary(params, p)
     if not necessary.holds:
-        return StabilityVerdict(necessary, False, None, "certified-unstable")
-    if bounds is None:
-        witness = sufficient_search(params, probs)
-    else:
-        witness = _witness_at(params, p, bounds.lower, bounds.lower_witness)
-    if witness is not None:
-        return StabilityVerdict(necessary, True, witness, "certified-stable")
-    return StabilityVerdict(necessary, False, None, "indeterminate")
+        return StabilityVerdict(necessary, None, "certified-unstable")
+    witness = sufficient_search(params, p)
+    return StabilityVerdict(necessary, witness, "indeterminate" if witness is None else "certified-stable")
 
 
 def throughput_bounds(params: NetworkParams, probs) -> ThroughputBounds:
     """Bracket the maximal sustainable demand for fixed capacities and faults.
 
     ``lower`` is the largest critical demand over the search box, found by
-    one branch-and-bound search (``_Searcher``).  ``lower_witness`` carries
-    the scalar drift at ``lower`` itself, re-checked below ``-STRICT_DRIFT``;
-    it certifies every smaller demand too.  ``upper`` is the smallest demand
-    at which the necessary test fails, bisected to ``BISECT_TOL``, and
-    ``upper_violation`` names the first inequality failed there.  The
-    demand stored in ``params`` is ignored.
+    one branch-and-bound search (``_Searcher``), shared with
+    ``stability_verdict`` and ``sufficient_search`` on the same network.
+    ``lower_witness`` carries the scalar drift at ``lower`` itself,
+    re-checked below ``-STRICT_DRIFT``; it certifies every smaller demand
+    too.  ``upper`` is the smallest demand at which the necessary test
+    fails, bisected to ``BISECT_TOL``, and ``upper_violation`` names the
+    first inequality failed there.  The demand stored in ``params`` is
+    ignored.
     """
     p = validate_mode_probs(probs)
-    lower, witness = _Searcher(params)(p)
+    lower, witness = _search(params, p)
     upper = _necessary_upper(params, p)
     if lower > upper:
         raise NumericsError(f"bound inversion: lower {lower} > upper {upper}")

@@ -31,6 +31,7 @@ from faultroute import (
     stationary_distribution,
     sufficient_value,
 )
+from faultroute import bounds
 from faultroute.bounds import _sweep
 from faultroute.model import drift_field, validate_mode_probs
 from faultroute.stability import STRICT_DRIFT, Z_FLOOR, _drift_value, zoom_min
@@ -425,6 +426,15 @@ class TestKernelSweep:
         assert abs(drift - drift_ref) <= 1e-12, (theta, theta_ref)
         if drift_ref < -STRICT_DRIFT - 1e-12:
             assert drift < -STRICT_DRIFT  # no witness is lost
+
+    def test_a_line_of_one_point_is_not_scored(self, monkeypatch):
+        # at beta 1e-3 and rho 0.99 the ratio line theta2 - theta1 = 5.3e3 misses the box, leaving its corner
+        params = NetworkParams(0.8, 0.2, 1e-3, 0.6)
+        p = validate_mode_probs(UNIFORM)
+        gap = min(math.log(1.99 / 0.01) / params.beta, TOP)
+        theta_ref, *_ = scalar_sweep(params, p, lambda t: t - gap, gap)
+        monkeypatch.setattr(bounds, "drift_field", None)  # any scoring would raise TypeError
+        assert _sweep(params, p, lambda t: t - gap, gap) == theta_ref == (0.0, TOP)
 
 
 class TestCurveEmitters:

@@ -96,7 +96,7 @@ class TestCheckMatchesBounds:
 
 
 class TestCheckRunsOneSearch:
-    """``check`` reads its verdict off the bounds' search instead of searching twice."""
+    """``check`` asks for the verdict and the bounds, and the two share one search."""
 
     CONFIGS = [
         ({}, "certified-stable"),  # the README network

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from faultroute import (
@@ -165,6 +165,11 @@ class TestNecessaryCondition:
     def test_zero_demand_zero_capacity_holds(self):
         params = NetworkParams(F1=1.0, F2=0.0, beta=1.0, eta=0.0)
         assert necessary_condition(params, UNIFORM).holds
+
+    def test_slacks_are_python_floats(self):
+        # numpy scalars from indexing the probabilities cost memory in every kept verdict
+        rep = necessary_condition(params_for(0.6, F1=0.7), np.array([0.4, 0.1, 0.3, 0.2]))
+        assert all(type(v) is float for v in rep.slacks + rep.floors)
 
 
 class TestSufficientValue:
@@ -461,6 +466,12 @@ class TestWitnessesVerify:
         v = stability_verdict(params, p)
         if v.witness is not None:
             assert_verified(params, p, v.witness)
+        s1, s2, s3 = v.necessary.slacks
+        assert (v.necessary.inequality_holds, v.necessary.holds, v.sufficient_holds) == (
+            (s1 >= 0.0, s2 >= 0.0, s3 > 0.0),
+            s1 >= 0.0 and s2 >= 0.0 and eta < 1.0,
+            v.witness is not None,
+        )
 
     @given(F1=capacities, beta=betas, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -491,6 +502,48 @@ class TestWitnessesVerify:
             rates = np.ones((4, 4)) - np.eye(4)
             cert = lyapunov_certificate(REPRO_PARAMS, p, rates, v.witness)
             assert cert.c > 0.0 and math.isfinite(cert.d)
+
+
+class TestSearchCache:
+    """One search per network: the last network's search is kept, and only that one."""
+
+    @pytest.mark.parametrize("first", [stability_verdict, sufficient_search])
+    def test_one_searcher_per_network(self, monkeypatch, first):
+        built = []
+        init = _Searcher.__init__
+
+        def counted(self, params):
+            built.append(params)
+            init(self, params)
+
+        monkeypatch.setattr(_Searcher, "__init__", counted)
+        params = params_for(0.5, F1=0.6, beta=2.0)
+        first(params, UNIFORM)
+        throughput_bounds(params, UNIFORM)
+        assert len(built) == 1
+
+    networks = st.tuples(capacities, betas, st.integers(0, 2**32 - 1))
+
+    @given(a=networks, b=networks)
+    @settings(max_examples=10, deadline=None)
+    def test_interleaved_calls_equal_a_cold_search(self, a, b):
+        (F1, beta, seed), (G1, gamma, other) = a, b
+        pa, pb = validate_mode_probs(dirichlet(seed)), validate_mode_probs(dirichlet(other))
+        net_a, net_b = params_for(0.3, F1=F1, beta=beta), params_for(0.6, F1=G1, beta=gamma)
+        ulp = pa.copy()
+        ulp[0] = math.nextafter(ulp[0], 1.0)
+        assume(validate_mode_probs(ulp) is ulp)  # within the normalization tolerance, so kept as is
+        calls = [(net_a, pa), (net_b, pb), (net_a, pa), (replace(net_a, eta=0.9), pa), (net_a, ulp)]
+        stability._search_bits.cache_clear()
+        for params, p in calls:
+            cold = _Searcher(params)(p)
+            assert stability._search(params, p) == cold
+            tb = throughput_bounds(params, p)
+            assert (tb.lower, tb.lower_witness) == cold
+        same_b = (F1, beta, seed) == (G1, gamma, other)
+        info = stability._search_bits.cache_info()
+        # the demand is not in the key; one ulp of one probability is
+        assert (info.hits, info.misses) == ((8, 2) if same_b else (6, 4))
 
 
 class TestValidateOnce:
